@@ -231,8 +231,7 @@ class _WordEngine:
         self.word = [list(letter) for letter in word]
 
     def _solve(self, trip: tuple) -> tuple:
-        gates = tuple(RGateParams(float(g), float(d)) for g, d in trip)
-        sol = solve(YbeTriple(gates, YbeForm.LEFT))
+        sol = solve(YbeTriple.from_angles(trip))
         self.residual += sol.residual
         self.moves += 1
         if self.residual > RESIDUAL_BUDGET:

@@ -11,29 +11,23 @@ relations and the dense 8x8 matrix identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .propagators import RGateParams, r_matrix
+from .propagators import RGateParams
 
 SOLVER_TOL = 1e-9
 FALLBACK_COST_TOL = 1e-18
 
-# Division-based evaluation of the sum/difference aggregate relations loses
-# precision once a denominator magnitude drops below this. The closed form
-# below is division-free, so this threshold is documentation of the regime
-# where naive evaluation would need the fallback; acceptance of a candidate
-# is always gated on the verified residual, never on this value.
-EDGE_TOL = 1e-6
-
 _FALLBACK_SEED = 11
 _FALLBACK_STARTS = 8
 _IDENTITY_TOL = 1e-12
-
-_I2 = np.eye(2, dtype=complex)
+_WRAP_SNAP_TOL = 1e-12
+_TWO_PI = 2.0 * math.pi
 
 AnglePair = tuple[float, float]
 AngleTriple = tuple[AnglePair, AnglePair, AnglePair]
@@ -55,27 +49,52 @@ class YbeForm(Enum):
         return YbeForm.RIGHT if self is YbeForm.LEFT else YbeForm.LEFT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class YbeTriple:
-    """Three R gates in bridge layout, listed in operator order."""
+    """Three R gates in bridge layout, listed in operator order.
 
-    gates: tuple[RGateParams, RGateParams, RGateParams]
-    form: YbeForm = YbeForm.LEFT
+    Held as (gamma, delta) pairs, the form the solver reads; gates gives
+    them back as RGateParams.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.gates) != 3:
-            raise ValueError(f"need exactly 3 gates, got {len(self.gates)}")
-        for g in self.gates:
+    pairs: AngleTriple
+    form: YbeForm
+
+    def __init__(self, gates, form: YbeForm = YbeForm.LEFT) -> None:
+        if len(gates) != 3:
+            raise ValueError(f"need exactly 3 gates, got {len(gates)}")
+        for g in gates:
             if not isinstance(g, RGateParams):
                 raise TypeError(f"gates must be RGateParams, got {type(g)!r}")
-        if not isinstance(self.form, YbeForm):
-            raise TypeError(f"form must be a YbeForm, got {self.form!r}")
+        self._set(tuple((g.gamma, g.delta) for g in gates), form)
+
+    @classmethod
+    def from_angles(cls, angles, form: YbeForm = YbeForm.LEFT) -> "YbeTriple":
+        """The triple of three finite (gamma, delta) pairs, built without RGateParams."""
+        pairs = tuple((float(g), float(d)) for g, d in angles)
+        if len(pairs) != 3:
+            raise ValueError(f"need exactly 3 gates, got {len(pairs)}")
+        if not all(math.isfinite(g) and math.isfinite(d) for g, d in pairs):
+            raise ValueError(f"R params must be finite, got {pairs!r}")
+        t = cls.__new__(cls)
+        t._set(pairs, form)
+        return t
+
+    def _set(self, pairs: AngleTriple, form: YbeForm) -> None:
+        if not isinstance(form, YbeForm):
+            raise TypeError(f"form must be a YbeForm, got {form!r}")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "form", form)
+
+    @property
+    def gates(self) -> tuple[RGateParams, RGateParams, RGateParams]:
+        return tuple(RGateParams(g, d) for g, d in self.pairs)
 
     def angles(self) -> AngleTriple:
-        return tuple((g.gamma, g.delta) for g in self.gates)
+        return self.pairs
 
     def unitary(self) -> np.ndarray:
-        return triple_unitary(self.angles(), self.form)
+        return triple_unitary(self.pairs, self.form)
 
 
 @dataclass(frozen=True)
@@ -100,27 +119,51 @@ class RelationReport:
 
     @property
     def max_relation(self) -> float:
-        return max(abs(v) for v in self.relations)
+        return max(map(abs, self.relations))
 
     @property
     def residual(self) -> float:
         return max(self.max_relation, self.matrix_residual)
 
+    @property
+    def worst_check(self) -> str:
+        """The check that sets the residual."""
+        if self.matrix_residual > self.max_relation:
+            return "8x8 matrix identity"
+        return "sixteen relations"
+
 
 class UnsolvedError(Exception):
-    """No candidate met the solver tolerance; carries the best residual seen."""
+    """No candidate met the solver tolerance; carries the best verified residual.
 
-    def __init__(self, best_residual: float) -> None:
-        super().__init__(
-            f"no solution below tolerance {SOLVER_TOL:g}; best residual {best_residual:.3e}"
-        )
+    With the best candidate's report, the message also names the check it
+    failed: the sixteen relations or the 8x8 matrix identity.
+    """
+
+    def __init__(self, best_residual: float, report: RelationReport | None = None) -> None:
+        message = f"no solution below tolerance {SOLVER_TOL:g}; best residual {best_residual:.3e}"
+        if report is not None:
+            message += (
+                f" fails the {report.worst_check} (relations {report.max_relation:.3e},"
+                f" 8x8 matrix {report.matrix_residual:.3e})"
+            )
+        super().__init__(message)
         self.best_residual = best_residual
+        self.report = report
 
 
 def wrap_angle(x):
-    """Canonicalize angles to (-pi, pi]."""
-    y = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    y = np.where(np.isclose(y, -np.pi), np.pi, y)
+    """Canonicalize angles to (-pi, pi].
+
+    The result differs from x by a multiple of 2 pi: only values within
+    _WRAP_SNAP_TOL above -pi move to +pi. A Python float takes a math path
+    with the same bits as the array path.
+    """
+    if isinstance(x, (float, int)):
+        y = (float(x) + math.pi) % _TWO_PI - math.pi
+        return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
+    y = np.mod(np.asarray(x, dtype=float) + np.pi, _TWO_PI) - np.pi
+    y = np.where(np.abs(y + np.pi) <= _WRAP_SNAP_TOL, np.pi, y)
     return y if y.ndim else float(y)
 
 
@@ -129,66 +172,136 @@ def _coerce(t, form: YbeForm) -> AngleTriple:
         if t.form is not form:
             raise ValueError(f"expected a {form.value}-form triple, got {t.form.value}")
         return t.angles()
-    out = []
-    for g in t:
-        if isinstance(g, RGateParams):
-            out.append((g.gamma, g.delta))
-        else:
-            a, b = g
-            out.append((float(a), float(b)))
-    if len(out) != 3:
-        raise ValueError(f"need exactly 3 gates, got {len(out)}")
-    return tuple(out)
+    pairs = [(g.gamma, g.delta) if isinstance(g, RGateParams) else g for g in t]
+    return YbeTriple.from_angles(pairs, form).pairs
+
+
+# The entries of R(gamma, delta) as ids of its distinct values: outer-block
+# cos, inner-block cos, outer i sin, inner i sin, and 0 (see _embedded).
+_R_ENTRIES = np.array([[0, 4, 4, 2], [4, 1, 3, 4], [4, 3, 1, 4], [2, 4, 4, 0]])
+
+
+def _gate_layout(low: bool, gate: int, gates: int) -> np.ndarray:
+    # np.kron(r, 1) (low) or np.kron(1, r) as flat indices into the (2, 5,
+    # gates) value table of _embedded: slab 0 holds r * 1, slab 1 holds r * 0
+    off = 5 * (1 - np.eye(2, dtype=int))
+    if low:
+        ids = _R_ENTRIES[:, None, :, None] + off[None, :, None, :]
+    else:
+        ids = off[:, None, :, None] + _R_ENTRIES[None, :, None, :]
+    return ids.reshape(8, 8) * gates + gate
+
+
+def _layout(forms: tuple[YbeForm, ...]) -> np.ndarray:
+    gates = 3 * len(forms)
+    return np.stack([
+        _gate_layout((form is YbeForm.LEFT) == (k % 2 == 0), 3 * i + k, gates)
+        for i, form in enumerate(forms)
+        for k in range(3)
+    ])
+
+
+_LAYOUT = {form: _layout((form,)) for form in YbeForm}
+# a triple in one form and its mirror in the other, six gates in one table
+_PAIR_LAYOUT = {form: _layout((form, form.opposite)) for form in YbeForm}
+_EXP_SIGNS = np.array((1j, -1j))  # outer block, inner block
+_TY_ZERO = np.array(((-0.0,), (0.0,)))  # gamma - 0, gamma + 0
+_KRON_FACTORS = np.array((1.0 + 0j, 0j))[:, None, None]  # entries of the 2x2 identity
+
+
+def _embedded(angles, layout: np.ndarray) -> np.ndarray:
+    """The gates, given as (gamma, delta) pairs, as 8x8 matrices in a layout.
+
+    Each entry is the product that np.kron(r_matrix(...), 1) or
+    np.kron(1, r_matrix(...)) evaluates, so the values, signed zeros
+    included, are the same. r_matrix goes through xyz_propagator with
+    tx = gamma, ty = 0: its outer block uses gamma - 0, its inner gamma + 0.
+    """
+    gammas, deltas = np.array(angles, dtype=float).T
+    phase = np.exp(np.multiply.outer(_EXP_SIGNS, deltas))
+    g = gammas + _TY_ZERO
+    values = np.concatenate(
+        (phase * np.cos(g), phase * 1j * np.sin(g), np.zeros((1, len(gammas)), dtype=complex))
+    )
+    return (_KRON_FACTORS * values).ravel()[layout]
 
 
 def triple_unitary(t: AngleTriple, form: YbeForm) -> np.ndarray:
     """Dense 8x8 operator of a bridge-layout triple."""
-    (a1, b1), (a2, b2), (a3, b3) = t
-    r1 = r_matrix(RGateParams(a1, b1))
-    r2 = r_matrix(RGateParams(a2, b2))
-    r3 = r_matrix(RGateParams(a3, b3))
-    if form is YbeForm.LEFT:
-        return np.kron(r1, _I2) @ np.kron(_I2, r2) @ np.kron(r3, _I2)
-    return np.kron(_I2, r1) @ np.kron(r2, _I2) @ np.kron(_I2, r3)
+    m1, m2, m3 = _embedded(t, _LAYOUT[form])
+    return m1 @ m2 @ m3
+
+
+# The sixteen relations, one row each: the factors of the left product, then
+# those of the right product, in multiplication order. For a triple
+# ((g1, d1), (g2, d2), (g3, d3)), "g" is g2, "g+" and "g-" are g1 + g3 and
+# g1 - g3, and "d", "d+", "d-" the same for the deltas; a leading minus
+# negates the first factor. Each row is left product minus right product.
+_RELATION_ROWS = (
+    "s(g) c(g-) c(d-) s(d) | c(g) s(g+) s(d+) c(d)",
+    "c(g) c(g-) c(d+) s(d) | c(g) c(g+) s(d+) c(d)",
+    "-s(g) c(g+) s(d-) c(d) | c(g) s(g-) c(d+) s(d)",
+    "c(g) c(g+) s(d+) c(d) | c(g) c(g-) c(d+) s(d)",
+    "s(g) c(g+) c(d-) c(d) | c(g) s(g+) c(d+) c(d)",
+    "c(g) c(g+) c(d+) c(d) | c(g) c(g+) c(d+) c(d)",
+    "-s(g) c(g-) s(d-) s(d) | c(g) s(g-) s(d+) s(d)",
+    "c(g) c(g-) s(d+) s(d) | c(g) c(g-) s(d+) s(d)",
+    "s(g) s(g+) c(d-) c(d) | s(g) s(g+) c(d-) c(d)",
+    "c(g) s(g+) c(d+) c(d) | s(g) c(g+) c(d-) c(d)",
+    "s(g) s(g-) s(d-) s(d) | s(g) s(g-) s(d-) s(d)",
+    "-c(g) s(g-) s(d+) s(d) | s(g) c(g-) s(d-) s(d)",
+    "-s(g) s(g-) c(d-) s(d) | s(g) s(g+) s(d-) c(d)",
+    "-c(g) s(g-) c(d+) s(d) | s(g) c(g+) s(d-) c(d)",
+    "-s(g) s(g+) s(d-) c(d) | s(g) s(g-) c(d-) s(d)",
+    "c(g) s(g+) s(d+) c(d) | s(g) c(g-) c(d-) s(d)",
+)
+_FACTOR_ANGLES = ("g", "g+", "g-", "d+", "d-", "d")
+
+
+def _row_indices(side: int) -> np.ndarray:
+    # factor -> index into the sines, then the cosines, of _FACTOR_ANGLES
+    idx = [
+        [
+            "sc".index(f[0]) * 6 + _FACTOR_ANGLES.index(f[2:-1])
+            for f in row.split(" | ")[side].lstrip("-").split()
+        ]
+        for row in _RELATION_ROWS
+    ]
+    return np.array(idx).T
+
+
+_LEFT_FACTORS = _row_indices(0)
+_RIGHT_FACTORS = _row_indices(1)
+_LEFT_SIGNS = np.array([-1.0 if row.startswith("-") else 1.0 for row in _RELATION_ROWS])
+
+
+def _products(t, factors: np.ndarray) -> np.ndarray:
+    """The sixteen four-factor products of one side, in row order."""
+    (g1, d1), (g2, d2), (g3, d3) = t
+    a = np.array((g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3, d2), dtype=float)
+    f = np.concatenate((np.sin(a), np.cos(a)))[factors]
+    return f[0] * f[1] * f[2] * f[3]
 
 
 def relations(left, right) -> np.ndarray:
     """The sixteen product relations; all vanish iff the matrix identity holds.
 
     Both arguments are triples of (gamma, delta) pairs, left in LEFT layout
-    and right in RIGHT layout. Entries may be arrays (broadcast over
-    candidate batches).
+    and right in RIGHT layout. The six entries of one side are all scalars
+    or all arrays of one shape (a batch of candidates); the two sides
+    broadcast against each other and the rows run along the first axis.
     """
-    (g1, d1), (g2, d2), (g3, d3) = left
-    (g4, d4), (g5, d5), (g6, d6) = right
-    s, c = np.sin, np.cos
-    rows = [
-        s(g2) * c(g1 - g3) * c(d1 - d3) * s(d2) - c(g5) * s(g4 + g6) * s(d4 + d6) * c(d5),
-        c(g2) * c(g1 - g3) * c(d1 + d3) * s(d2) - c(g5) * c(g4 + g6) * s(d4 + d6) * c(d5),
-        -s(g2) * c(g1 + g3) * s(d1 - d3) * c(d2) - c(g5) * s(g4 - g6) * c(d4 + d6) * s(d5),
-        c(g2) * c(g1 + g3) * s(d1 + d3) * c(d2) - c(g5) * c(g4 - g6) * c(d4 + d6) * s(d5),
-        s(g2) * c(g1 + g3) * c(d1 - d3) * c(d2) - c(g5) * s(g4 + g6) * c(d4 + d6) * c(d5),
-        c(g2) * c(g1 + g3) * c(d1 + d3) * c(d2) - c(g5) * c(g4 + g6) * c(d4 + d6) * c(d5),
-        -s(g2) * c(g1 - g3) * s(d1 - d3) * s(d2) - c(g5) * s(g4 - g6) * s(d4 + d6) * s(d5),
-        c(g2) * c(g1 - g3) * s(d1 + d3) * s(d2) - c(g5) * c(g4 - g6) * s(d4 + d6) * s(d5),
-        s(g2) * s(g1 + g3) * c(d1 - d3) * c(d2) - s(g5) * s(g4 + g6) * c(d4 - d6) * c(d5),
-        c(g2) * s(g1 + g3) * c(d1 + d3) * c(d2) - s(g5) * c(g4 + g6) * c(d4 - d6) * c(d5),
-        s(g2) * s(g1 - g3) * s(d1 - d3) * s(d2) - s(g5) * s(g4 - g6) * s(d4 - d6) * s(d5),
-        -c(g2) * s(g1 - g3) * s(d1 + d3) * s(d2) - s(g5) * c(g4 - g6) * s(d4 - d6) * s(d5),
-        -s(g2) * s(g1 - g3) * c(d1 - d3) * s(d2) - s(g5) * s(g4 + g6) * s(d4 - d6) * c(d5),
-        -c(g2) * s(g1 - g3) * c(d1 + d3) * s(d2) - s(g5) * c(g4 + g6) * s(d4 - d6) * c(d5),
-        -s(g2) * s(g1 + g3) * s(d1 - d3) * c(d2) - s(g5) * s(g4 - g6) * c(d4 - d6) * s(d5),
-        c(g2) * s(g1 + g3) * s(d1 + d3) * c(d2) - s(g5) * c(g4 - g6) * c(d4 - d6) * s(d5),
-    ]
-    return np.array(rows)
+    lp = _products(left, _LEFT_FACTORS)
+    rp = _products(right, _RIGHT_FACTORS)
+    # the sign is exact, so it equals negating the first factor
+    return (_LEFT_SIGNS * lp.T - rp.T).T
 
 
 def _report(t: AngleTriple, out: AngleTriple, form: YbeForm) -> RelationReport:
     rel = relations(t, out) if form is YbeForm.LEFT else relations(out, t)
-    mat = float(
-        np.linalg.norm(triple_unitary(t, form) - triple_unitary(out, form.opposite))
-    )
-    return RelationReport(tuple(float(v) for v in rel), mat)
+    m = _embedded(t + out, _PAIR_LAYOUT[form])
+    mat = float(np.linalg.norm(m[0] @ m[1] @ m[2] - m[3] @ m[4] @ m[5]))
+    return RelationReport(tuple(rel.tolist()), mat)
 
 
 def verify_relations(left, right) -> RelationReport:
@@ -199,7 +312,7 @@ def verify_relations(left, right) -> RelationReport:
 
 
 # candidate branch table: all 6-bit pi-shift patterns of the aggregates
-_BITS = np.array([[(k >> i) & 1 for i in range(6)] for k in range(64)], dtype=float)
+_SHIFTS = np.array([[(k >> i) & 1 for i in range(6)] for k in range(64)], dtype=float) * np.pi
 
 
 def _aggregates(t: AngleTriple) -> np.ndarray:
@@ -207,55 +320,58 @@ def _aggregates(t: AngleTriple) -> np.ndarray:
 
     Solves the relation system for (g4+g6, g4-g6, d4+d6, d4-d6, g5, d5)
     using two-argument arctangents throughout; the middle-angle projections
-    reuse the aggregate branch so the six values are sign-consistent.
+    reuse the aggregate branch so the six values are sign-consistent. The
+    closed form is division-free, so no denominator can vanish; acceptance
+    is gated on the verified residual alone.
     """
     (g1, d1), (g2, d2), (g3, d3) = t
-    sp, cp = np.sin, np.cos
-    p = np.arctan2(sp(g2) * cp(d1 - d3), cp(g2) * cp(d1 + d3))
-    m = np.arctan2(-sp(g2) * sp(d1 - d3), cp(g2) * sp(d1 + d3))
-    q = np.arctan2(sp(d2) * cp(g1 - g3), cp(d2) * cp(g1 + g3))
-    n = np.arctan2(-sp(d2) * sp(g1 - g3), cp(d2) * sp(g1 + g3))
-    sg5 = cp(n) * sp(g1 + g3) * cp(d2) - sp(n) * sp(g1 - g3) * sp(d2)
-    cg5 = cp(q) * cp(g1 + g3) * cp(d2) + sp(q) * cp(g1 - g3) * sp(d2)
-    sd5 = cp(m) * cp(g2) * sp(d1 + d3) - sp(m) * sp(g2) * sp(d1 - d3)
-    cd5 = cp(p) * cp(g2) * cp(d1 + d3) + sp(p) * sp(g2) * cp(d1 - d3)
-    return np.array([p, m, q, n, np.arctan2(sg5, cg5), np.arctan2(sd5, cd5)])
+    sin, cos = math.sin, math.cos
+    sg2, cg2, sd2, cd2 = sin(g2), cos(g2), sin(d2), cos(d2)
+    sgp, cgp, sgm, cgm = sin(g1 + g3), cos(g1 + g3), sin(g1 - g3), cos(g1 - g3)
+    sdp, cdp, sdm, cdm = sin(d1 + d3), cos(d1 + d3), sin(d1 - d3), cos(d1 - d3)
+    p, m, q, n = np.arctan2(
+        (sg2 * cdm, -sg2 * sdm, sd2 * cgm, -sd2 * sgm),
+        (cg2 * cdp, cg2 * sdp, cd2 * cgp, cd2 * sgp),
+    ).tolist()
+    sg5 = cos(n) * sgp * cd2 - sin(n) * sgm * sd2
+    cg5 = cos(q) * cgp * cd2 + sin(q) * cgm * sd2
+    sd5 = cos(m) * cg2 * sdp - sin(m) * sg2 * sdm
+    cd5 = cos(p) * cg2 * cdp + sin(p) * sg2 * cdm
+    g5, d5 = np.arctan2((sg5, sd5), (cg5, cd5)).tolist()
+    return np.array((p, m, q, n, g5, d5))
 
 
-def _analytic_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, float]:
+def _analytic_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, RelationReport]:
     """Closed-form solve; branch chosen among 64 pi-shift candidates."""
-    cand = _aggregates(t)[None, :] + _BITS * np.pi
-    p, m, q, n, g5, d5 = (cand[:, k] for k in range(6))
+    p, m, q, n, g5, d5 = (_aggregates(t) + _SHIFTS).T
     batch = (((p + m) / 2, (q + n) / 2), (g5, d5), ((p - m) / 2, (q - n) / 2))
     if form is YbeForm.LEFT:
         rel = np.abs(relations(t, batch)).max(axis=0)
     else:
         rel = np.abs(relations(batch, t)).max(axis=0)
     k = int(np.argmin(rel))
-    out = tuple(
-        (float(wrap_angle(a[k])), float(wrap_angle(b[k]))) for a, b in batch
-    )
-    return out, _report(t, out, form).residual
+    out = tuple((wrap_angle(float(a[k])), wrap_angle(float(b[k]))) for a, b in batch)
+    return out, _report(t, out, form)
 
 
 def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
     # identity middle gate: the triple collapses to a merge of the outer gates
     (g1, d1), (g2, d2), (g3, d3) = t
     if abs(wrap_angle(g2)) < _IDENTITY_TOL and abs(wrap_angle(d2)) < _IDENTITY_TOL:
-        return (
-            (0.0, 0.0),
-            (float(wrap_angle(g1 + g3)), float(wrap_angle(d1 + d3))),
-            (0.0, 0.0),
-        )
+        return ((0.0, 0.0), (wrap_angle(g1 + g3), wrap_angle(d1 + d3)), (0.0, 0.0))
     return None
 
 
 def _solution(out: AngleTriple, form: YbeForm, residual: float, method: str) -> YbeSolution:
-    gates = tuple(RGateParams(a, b) for a, b in out)
-    return YbeSolution(YbeTriple(gates, form), residual, method)
+    return YbeSolution(YbeTriple.from_angles(out, form), residual, method)
 
 
-def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, float]:
+def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
+    best = min(reports, key=lambda r: r.residual)
+    return UnsolvedError(best.residual, best)
+
+
+def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, RelationReport]:
     target = triple_unitary(t, form)
     out_form = form.opposite
 
@@ -270,23 +386,16 @@ def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, float]:
     starts = [np.zeros(6)] + [
         rng.uniform(-np.pi, np.pi, 6) for _ in range(_FALLBACK_STARTS - 1)
     ]
-    best = np.inf
+    reports = []
     for s0 in starts:
         sol = least_squares(resid, s0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        cost = 2.0 * sol.cost
-        best = min(best, float(np.sqrt(cost)))
-        if cost < FALLBACK_COST_TOL:
-            x = wrap_angle(sol.x)
-            out = (
-                (float(x[0]), float(x[1])),
-                (float(x[2]), float(x[3])),
-                (float(x[4]), float(x[5])),
-            )
-            residual = _report(t, out, form).residual
-            if residual < SOLVER_TOL:
-                return out, residual
-            best = min(best, residual)
-    raise UnsolvedError(best)
+        x = wrap_angle(sol.x).tolist()
+        out = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
+        report = _report(t, out, form)
+        if 2.0 * sol.cost < FALLBACK_COST_TOL and report.residual < SOLVER_TOL:
+            return out, report
+        reports.append(report)
+    raise _unsolved(reports)
 
 
 def numeric_fallback(t: YbeTriple) -> YbeSolution:
@@ -294,11 +403,11 @@ def numeric_fallback(t: YbeTriple) -> YbeSolution:
 
     Deterministic: the start list is all-zeros plus seven points from a
     fixed-seed generator. Accepts a start when the squared Frobenius
-    misfit drops below FALLBACK_COST_TOL.
+    misfit drops below FALLBACK_COST_TOL and the verified residual below
+    SOLVER_TOL.
     """
-    angles = t.angles()
-    out, residual = _numeric_solve(angles, t.form)
-    return _solution(out, t.form.opposite, residual, "numeric-fallback")
+    out, report = _numeric_solve(t.angles(), t.form)
+    return _solution(out, t.form.opposite, report.residual, "numeric-fallback")
 
 
 def solve(t: YbeTriple) -> YbeSolution:
@@ -306,21 +415,25 @@ def solve(t: YbeTriple) -> YbeSolution:
 
     The closed-form path is tried first and accepted when the verified
     residual (matrix and all sixteen relations) is below SOLVER_TOL; the
-    numeric fallback covers anything it misses. Raises UnsolvedError when
-    both fail. Both layout directions are supported; the mirrored direction
-    uses the same formulas with the roles of the two sides exchanged.
+    numeric fallback covers anything it misses. Raises UnsolvedError with
+    the best verified candidate when both fail. Both layout directions are
+    supported; the mirrored direction uses the same formulas with the roles
+    of the two sides exchanged.
     """
-    angles = t.angles()
+    angles, form = t.angles(), t.form
+    reports = []
     fast = _merge_degenerate(angles)
     if fast is not None:
-        residual = _report(angles, fast, t.form).residual
-        if residual < SOLVER_TOL:
-            return _solution(fast, t.form.opposite, residual, "analytic")
-    out, residual = _analytic_solve(angles, t.form)
-    if residual < SOLVER_TOL:
-        return _solution(out, t.form.opposite, residual, "analytic")
+        report = _report(angles, fast, form)
+        if report.residual < SOLVER_TOL:
+            return _solution(fast, form.opposite, report.residual, "analytic")
+        reports.append(report)
+    out, report = _analytic_solve(angles, form)
+    if report.residual < SOLVER_TOL:
+        return _solution(out, form.opposite, report.residual, "analytic")
+    reports.append(report)
     try:
-        out2, res2 = _numeric_solve(angles, t.form)
+        out, report = _numeric_solve(angles, form)
     except UnsolvedError as exc:
-        raise UnsolvedError(min(residual, exc.best_residual)) from None
-    return _solution(out2, t.form.opposite, res2, "numeric-fallback")
+        raise _unsolved(reports + [exc.report]) from None
+    return _solution(out, form.opposite, report.residual, "numeric-fallback")

@@ -1,6 +1,7 @@
 """Command-line workflows: evolve, compress, verify, and diagnostics."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,40 @@ def test_compress_requires_exactly_one_input(tmp_path, capsys):
         )
         == 2
     )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("family", ["x", "y", "z", "xy", "xz", "yz"])
+def test_compress_output_matches_golden_bytes(family, tmp_path, capsys):
+    # N = 5, 10 steps per coupling family; QASM text and stats line
+    # (residual included) must stay byte-identical through rewrites
+    qasm_out = tmp_path / "out.qasm"
+    cfg = GOLDEN / f"compress_{family}.json"
+    assert main(["compress", "--config", str(cfg), "--qasm-out", str(qasm_out)]) == 0
+    stats = (GOLDEN / f"compress_{family}.stdout").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == stats
+    assert qasm_out.read_bytes() == (GOLDEN / f"compress_{family}.qasm").read_bytes()
+
+
+def test_compress_keeps_gates_with_angles_near_pi(tmp_path, capsys):
+    # J.x * dt sits within 3.1e-5 of -pi; the compressed circuit must still
+    # verify against the Trotter circuit from both compress inputs
+    cfg = tmp_path / "near_pi.json"
+    cfg.write_text(
+        json.dumps({"spins": 3, "J": {"x": -31.4157, "z": 0.5}, "t_final": 0.2, "dt": 0.1}),
+        encoding="utf-8",
+    )
+    trot = tmp_path / "trot.qasm"
+    argv = ["evolve", "--config", str(cfg), "--mode", "trotter", "--out", str(tmp_path / "m.csv")]
+    assert main(argv + ["--qasm-out", str(trot)]) == 0
+    for source in (["--config", str(cfg)], [str(trot)]):
+        comp = tmp_path / "comp.qasm"
+        assert main(["compress", *source, "--qasm-out", str(comp)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(trot), str(comp)]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
 
 
 def test_recognize_pair_circuit_matches_source():

@@ -9,12 +9,15 @@ import pytest
 
 from spinchain.propagators import RGateParams, r_matrix
 from spinchain.ybe import (
+    SOLVER_TOL,
     UnsolvedError,
     YbeForm,
     YbeSolution,
     YbeTriple,
     numeric_fallback,
+    relations,
     solve,
+    triple_unitary,
     verify_relations,
     wrap_angle,
 )
@@ -51,12 +54,101 @@ def test_wrap_angle_range_and_branch():
     assert np.allclose(arr, [0.0, 0.0, np.pi / 2])
 
 
+def test_wrap_angle_moves_by_multiples_of_two_pi_near_pi():
+    # an angle near +-pi (mod 2 pi) may only change by a multiple of 2 pi;
+    # snapping the whole isclose(-pi) window to +pi once moved it by 3e-5
+    rng = np.random.default_rng(SEED + 6)
+    offsets = np.concatenate(
+        [rng.uniform(-1e-4, 1e-4, 200), rng.uniform(-1e-11, 1e-11, 50), [0.0, 3e-5, -3e-5, 1e-9]]
+    )
+    for k in (-3, -1, 1, 3):
+        for x in k * np.pi + offsets:
+            w = wrap_angle(float(x))
+            turns = (w - x) / (2 * np.pi)
+            assert abs(turns - round(turns)) * 2 * np.pi <= 1e-12
+            assert -np.pi < w <= np.pi
+
+
+def test_wrap_angle_scalar_and_array_agree_bitwise():
+    rng = np.random.default_rng(SEED + 7)
+    near_pi = np.pi * rng.choice([-1.0, 1.0], 400) + rng.uniform(-1e-6, 1e-6, 400)
+    xs = np.concatenate(
+        [rng.uniform(-50, 50, 2000), near_pi, np.pi * np.arange(-5, 6), [0.0, -0.0]]
+    )
+    scalar = np.array([wrap_angle(float(x)) for x in xs])
+    assert np.array_equal(scalar.view(np.int64), wrap_angle(xs).view(np.int64))
+
+
+def reference_relations(left, right):
+    # the sixteen relations written out row by row, evaluated with numpy
+    (g1, d1), (g2, d2), (g3, d3) = left
+    (g4, d4), (g5, d5), (g6, d6) = right
+    s, c = np.sin, np.cos
+    rows = [
+        s(g2) * c(g1 - g3) * c(d1 - d3) * s(d2) - c(g5) * s(g4 + g6) * s(d4 + d6) * c(d5),
+        c(g2) * c(g1 - g3) * c(d1 + d3) * s(d2) - c(g5) * c(g4 + g6) * s(d4 + d6) * c(d5),
+        -s(g2) * c(g1 + g3) * s(d1 - d3) * c(d2) - c(g5) * s(g4 - g6) * c(d4 + d6) * s(d5),
+        c(g2) * c(g1 + g3) * s(d1 + d3) * c(d2) - c(g5) * c(g4 - g6) * c(d4 + d6) * s(d5),
+        s(g2) * c(g1 + g3) * c(d1 - d3) * c(d2) - c(g5) * s(g4 + g6) * c(d4 + d6) * c(d5),
+        c(g2) * c(g1 + g3) * c(d1 + d3) * c(d2) - c(g5) * c(g4 + g6) * c(d4 + d6) * c(d5),
+        -s(g2) * c(g1 - g3) * s(d1 - d3) * s(d2) - c(g5) * s(g4 - g6) * s(d4 + d6) * s(d5),
+        c(g2) * c(g1 - g3) * s(d1 + d3) * s(d2) - c(g5) * c(g4 - g6) * s(d4 + d6) * s(d5),
+        s(g2) * s(g1 + g3) * c(d1 - d3) * c(d2) - s(g5) * s(g4 + g6) * c(d4 - d6) * c(d5),
+        c(g2) * s(g1 + g3) * c(d1 + d3) * c(d2) - s(g5) * c(g4 + g6) * c(d4 - d6) * c(d5),
+        s(g2) * s(g1 - g3) * s(d1 - d3) * s(d2) - s(g5) * s(g4 - g6) * s(d4 - d6) * s(d5),
+        -c(g2) * s(g1 - g3) * s(d1 + d3) * s(d2) - s(g5) * c(g4 - g6) * s(d4 - d6) * s(d5),
+        -s(g2) * s(g1 - g3) * c(d1 - d3) * s(d2) - s(g5) * s(g4 + g6) * s(d4 - d6) * c(d5),
+        -c(g2) * s(g1 - g3) * c(d1 + d3) * s(d2) - s(g5) * c(g4 + g6) * s(d4 - d6) * c(d5),
+        -s(g2) * s(g1 + g3) * s(d1 - d3) * c(d2) - s(g5) * s(g4 - g6) * c(d4 - d6) * s(d5),
+        c(g2) * s(g1 + g3) * s(d1 + d3) * c(d2) - s(g5) * c(g4 - g6) * c(d4 - d6) * s(d5),
+    ]
+    return np.array(rows)
+
+
+def test_relations_match_written_out_rows_exactly():
+    rng = np.random.default_rng(SEED + 8)
+    for _ in range(200):
+        left = random_triple(rng).angles()
+        right = random_triple(rng, YbeForm.RIGHT).angles()
+        assert np.array_equal(relations(left, right), reference_relations(left, right))
+    # a 64-wide candidate batch on either side, as the branch sweep uses it
+    for _ in range(20):
+        fixed = random_triple(rng).angles()
+        batch = tuple((rng.uniform(-4, 4, 64), rng.uniform(-4, 4, 64)) for _ in range(3))
+        for left, right in ((fixed, batch), (batch, fixed)):
+            got = relations(left, right)
+            assert got.shape == (16, 64)
+            assert np.array_equal(got, reference_relations(left, right))
+
+
 def test_triple_unitary_matches_kron_oracle():
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         for form in (YbeForm.LEFT, YbeForm.RIGHT):
             t = random_triple(rng, form)
             assert np.max(np.abs(t.unitary() - kron_unitary(t))) < 1e-12
+
+
+def test_triple_unitary_equals_kron_products_bitwise():
+    # the dense residual must see the same entries, signed zeros included,
+    # as the np.kron construction of the r_matrix gates
+    rng = np.random.default_rng(SEED + 9)
+    eye = np.eye(2, dtype=complex)
+    specials = [0.0, -0.0, np.pi / 2, -np.pi, 1e-13]
+    for _ in range(200):
+        for form in (YbeForm.LEFT, YbeForm.RIGHT):
+            angles = rng.uniform(-np.pi, np.pi, 6)
+            mask = rng.random(6) < 0.3
+            angles[mask] = rng.choice(specials, mask.sum())
+            t = tuple((float(angles[2 * k]), float(angles[2 * k + 1])) for k in range(3))
+            mats = [
+                np.kron(r_matrix(RGateParams(*p)), eye)
+                if (form is YbeForm.LEFT) == (k % 2 == 0)
+                else np.kron(eye, r_matrix(RGateParams(*p)))
+                for k, p in enumerate(t)
+            ]
+            expected = mats[0] @ mats[1] @ mats[2]
+            assert triple_unitary(t, form).tobytes() == expected.tobytes()
 
 
 def test_form_opposite():
@@ -170,6 +262,20 @@ def test_triple_validation():
         YbeSolution(
             YbeTriple((RGateParams(0.0, 0.0),) * 3), 0.0, "guesswork"
         )
+
+
+def test_unsolved_error_reports_a_verified_residual():
+    # at 4e16 an angle carries no precision: candidates fit the 8x8 matrix or
+    # the sixteen relations, never both, and the error must say which failed
+    t = YbeTriple((RGateParams(0.3, 4e16), RGateParams(0.2, 0.1), RGateParams(0.5, 0.4)))
+    with pytest.raises(UnsolvedError) as info:
+        solve(t)
+    err = info.value
+    assert err.best_residual >= SOLVER_TOL
+    assert err.report.residual == err.best_residual
+    reported = float(str(err).split("best residual ")[1].split()[0])
+    assert reported >= SOLVER_TOL
+    assert err.report.worst_check in str(err)
 
 
 def test_unsolved_error_carries_best_residual():
