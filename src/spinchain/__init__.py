@@ -4,134 +4,9 @@ Trotterized time evolution of the one-dimensional Heisenberg family is
 rewritten, through local merge and braid identities on two-qubit
 propagators, into a circuit whose depth is independent of the step count.
 Dense linear-algebra references are included for end-to-end verification.
+
+The package itself exposes only __version__; import from the submodules
+(spinchain.circuit_ir, spinchain.compressor, spinchain.simulator, ...).
 """
 
-from .circuit_ir import (
-    Circuit,
-    NativeCircuit,
-    PairGate,
-    QasmParseError,
-    build_trotter_circuit,
-    columnize,
-    from_qasm,
-    to_native,
-    to_qasm,
-    unitary_of,
-)
-from .compressor import (
-    CompressedBlock,
-    ResidualBudgetError,
-    RewriteMove,
-    UnsupportedClassError,
-    absorb_layer,
-    apply_merge_move,
-    apply_ybe_move,
-    compress,
-    empty_block,
-    merge,
-    pad_to_template,
-    reflect_block,
-)
-from .propagators import (
-    GateSequence,
-    NativeGate,
-    RGateParams,
-    class_conjugation,
-    conjugated_r_matrix,
-    decompose_xyz,
-    from_angles3,
-    r_matrix,
-    special_case_sequence,
-    xyz_propagator,
-)
-from .simulator import (
-    NoiseModel,
-    ObservableSeries,
-    basis_state,
-    build_hamiltonian,
-    exact_propagator,
-    neel_state,
-    run_dynamics,
-    run_noisy,
-    run_noisy_series,
-    staggered_magnetization,
-)
-from .spin_model import (
-    Angles3,
-    CouplingParams,
-    HamiltonianClass,
-    TrotterPlan,
-    classify,
-    step_angles,
-)
-from .ybe import (
-    UnsolvedError,
-    YbeForm,
-    YbeSolution,
-    YbeTriple,
-    numeric_fallback,
-    solve,
-    verify_relations,
-    wrap_angle,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Angles3",
-    "Circuit",
-    "CompressedBlock",
-    "CouplingParams",
-    "GateSequence",
-    "HamiltonianClass",
-    "NativeCircuit",
-    "NativeGate",
-    "NoiseModel",
-    "ObservableSeries",
-    "PairGate",
-    "QasmParseError",
-    "RGateParams",
-    "ResidualBudgetError",
-    "RewriteMove",
-    "TrotterPlan",
-    "UnsolvedError",
-    "UnsupportedClassError",
-    "YbeForm",
-    "YbeSolution",
-    "YbeTriple",
-    "absorb_layer",
-    "apply_merge_move",
-    "apply_ybe_move",
-    "basis_state",
-    "build_hamiltonian",
-    "build_trotter_circuit",
-    "class_conjugation",
-    "classify",
-    "columnize",
-    "compress",
-    "conjugated_r_matrix",
-    "decompose_xyz",
-    "empty_block",
-    "exact_propagator",
-    "from_angles3",
-    "from_qasm",
-    "merge",
-    "neel_state",
-    "numeric_fallback",
-    "pad_to_template",
-    "r_matrix",
-    "reflect_block",
-    "run_dynamics",
-    "run_noisy",
-    "run_noisy_series",
-    "solve",
-    "special_case_sequence",
-    "staggered_magnetization",
-    "step_angles",
-    "to_native",
-    "to_qasm",
-    "unitary_of",
-    "verify_relations",
-    "wrap_angle",
-    "xyz_propagator",
-]

@@ -10,21 +10,25 @@ import numpy as np
 
 from . import _dense
 from .propagators import (
+    CONJUGATION_TAGS,
+    SANDWICH,
     Angles3,
     GateSequence,
     NativeGate,
     RGateParams,
-    class_conjugation,
     conjugated_r_matrix,
     decompose_xyz,
     from_angles3,
     native_gate_matrix,
-    special_case_sequence,
+    r_gate_sequence,
+    sequence_unitary,
     xyz_propagator,
 )
-from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, classify, step_angles
+from .spin_model import CouplingParams, TrotterPlan, step_angles
 
 MAX_DENSE_QUBITS = 12
+
+RECOGNIZE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class PairGate:
             raise ValueError(f"pair index must be nonnegative, got {self.pair}")
         if not isinstance(self.params, (Angles3, RGateParams)):
             raise TypeError(f"params must be Angles3 or RGateParams, got {type(self.params)!r}")
-        if self.conjugation not in ("none", "u1", "u2"):
+        if self.conjugation not in CONJUGATION_TAGS:
             raise ValueError(f"unknown conjugation {self.conjugation!r}")
         if isinstance(self.params, Angles3) and self.conjugation != "none":
             raise ValueError("conjugation tags apply to RGateParams gates only")
@@ -172,28 +176,9 @@ def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
 
 def _pair_gate_native(g: PairGate) -> GateSequence:
     if isinstance(g.params, RGateParams):
-        klass = _class_of_r_gate(g.params, g.conjugation)
-        return special_case_sequence(klass, g.params)
-    params, _conj, ok = from_angles3(g.params)
-    if ok:
-        klass = classify(CouplingParams(*g.params.as_tuple()))
-        return special_case_sequence(klass, params)
-    return decompose_xyz(g.params)
-
-
-def _class_of_r_gate(p: RGateParams, conjugation: str) -> HamiltonianClass:
-    # invert the from_angles3 tagging; zero thresholds match special_case guards
-    has_g = abs(p.gamma) > 1e-9
-    has_d = abs(p.delta) > 1e-9
-    if conjugation == "u2":
-        return HamiltonianClass.XY
-    if conjugation == "u1":
-        return HamiltonianClass.YZ if has_d else HamiltonianClass.Y
-    if has_g and has_d:
-        return HamiltonianClass.XZ
-    if has_d:
-        return HamiltonianClass.Z
-    return HamiltonianClass.X
+        return r_gate_sequence(g.params, g.conjugation)
+    params, tag, ok = from_angles3(g.params)
+    return r_gate_sequence(params, tag) if ok else decompose_xyz(g.params)
 
 
 def to_native(c: Circuit) -> NativeCircuit:
@@ -205,6 +190,68 @@ def to_native(c: Circuit) -> NativeCircuit:
                 NativeGate(ng.kind, tuple(q + g.pair for q in ng.qubits), ng.angle)
             )
     return NativeCircuit(c.num_qubits, tuple(gates))
+
+
+def _recognition_templates() -> list[tuple[tuple[str, ...], str, int | None, int | None]]:
+    """(native kinds, tag, rx index, rz index) of every R-gate expansion.
+
+    Each conjugation tag's sandwich wraps one of three two-CX cores: rx and
+    rz, rx alone (also the identity gate's shape), rz alone. Longest first.
+    """
+    templates = []
+    for tag in CONJUGATION_TAGS:
+        head, tail = (tuple(g.kind for g in side) for side in SANDWICH[tag])
+        for core in (("rx", "rz"), ("rx",), ("rz",)):
+            gi = len(head) + 1 if "rx" in core else None
+            di = len(head) + len(core) if "rz" in core else None
+            templates.append((head + ("cx", *core, "cx") + tail, tag, gi, di))
+    return sorted(templates, key=lambda e: (-len(e[0]), e[0]))
+
+
+_TEMPLATES = _recognition_templates()
+
+
+def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
+    """Group native gates back into R(gamma, delta) pair gates: the inverse of to_native.
+
+    Greedy longest-first matching of the emitter's per-gate native blocks;
+    every match is verified against the dense gate matrix before acceptance.
+    """
+    gates = native.gates
+    out: list[PairGate] = []
+    pos = 0
+    while pos < len(gates):
+        matched = None
+        for kinds, tag, gi, di in _TEMPLATES:
+            end = pos + len(kinds)
+            if end > len(gates):
+                continue
+            window = gates[pos:end]
+            if tuple(g.kind for g in window) != kinds:
+                continue
+            qubits = {q for g in window for q in g.qubits}
+            if len(qubits) != 2 or max(qubits) - min(qubits) != 1:
+                continue
+            base = min(qubits)
+            local = tuple(
+                NativeGate(g.kind, tuple(q - base for q in g.qubits), g.angle)
+                for g in window
+            )
+            gamma = -0.5 * window[gi].angle if gi is not None else 0.0
+            delta = -0.5 * window[di].angle if di is not None else 0.0
+            params = RGateParams(gamma, delta)
+            target = conjugated_r_matrix(params, tag)
+            if _dense.phase_distance(sequence_unitary(local), target) < RECOGNIZE_TOL:
+                matched = PairGate(base, params, tag)
+                pos = end
+                break
+        if matched is None:
+            raise ValueError(
+                f"unrecognized gate structure at native gate {pos}; expected "
+                "the per-gate blocks produced by the QASM emitter"
+            )
+        out.append(matched)
+    return columnize(Circuit(native.num_qubits, tuple(out)))
 
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'

@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import _dense
 from .circuit_ir import (
-    Circuit,
-    NativeCircuit,
-    PairGate,
     QasmParseError,
     build_trotter_circuit,
-    columnize,
     from_qasm,
+    recognize_pair_circuit,
     to_qasm,
     unitary_of,
 )
@@ -27,14 +25,6 @@ from .compressor import (
     compress,
     empty_block,
     pad_to_template,
-)
-from .propagators import (
-    NativeGate,
-    RGateParams,
-    class_conjugation,
-    conjugated_r_matrix,
-    sequence_unitary,
-    special_case_sequence,
 )
 from .simulator import (
     NoiseModel,
@@ -51,7 +41,8 @@ from .ybe import UnsolvedError
 
 MODES = ("exact", "trotter", "compressed", "all")
 
-RECOGNIZE_TOL = 1e-10
+# ceiling on num_steps x (spins - 1), the pair gates of a job's Trotter circuit
+MAX_PAIR_GATES = 10**6
 
 
 class ConfigError(ValueError):
@@ -155,6 +146,14 @@ def load_config(path: Path) -> JobConfig:
     mode = data.get("mode", "all")
     if mode not in MODES:
         raise ConfigError(f"config field 'mode' must be one of {MODES}, got {mode!r}")
+    steps = t_final / dt if dt > 0 else 0.0
+    if math.isfinite(steps):
+        steps = round(steps)
+    if steps * (spins - 1) > MAX_PAIR_GATES:
+        raise ConfigError(
+            f"job too large: t_final/dt = {steps:.6g} steps x {spins - 1} pairs exceeds "
+            f"{MAX_PAIR_GATES} pair gates"
+        )
     return JobConfig(j, spins, t_final, dt, init, noise, mode)
 
 
@@ -162,84 +161,6 @@ def _init_state(cfg: JobConfig):
     if cfg.init == "neel":
         return None
     return basis_state(cfg.spins, cfg.init[len("basis:") :])
-
-
-# ---- QASM recognition of two-qubit propagator blocks ----
-
-def _build_templates():
-    patterns = {
-        HamiltonianClass.X: [(0.37, 0.0), (0.0, 0.0)],
-        HamiltonianClass.Y: [(0.37, 0.0), (0.0, 0.0)],
-        HamiltonianClass.Z: [(0.0, 0.23), (0.0, 0.0)],
-        HamiltonianClass.XY: [(0.37, 0.23), (0.37, 0.0), (0.0, 0.23), (0.0, 0.0)],
-        HamiltonianClass.XZ: [(0.37, 0.23), (0.37, 0.0), (0.0, 0.23), (0.0, 0.0)],
-        HamiltonianClass.YZ: [(0.37, 0.23), (0.37, 0.0), (0.0, 0.23), (0.0, 0.0)],
-    }
-    entries = {}
-    for klass, pats in patterns.items():
-        tag = class_conjugation(klass)
-        for g0, d0 in pats:
-            seq = special_case_sequence(klass, RGateParams(g0, d0))
-            kinds = tuple(g.kind for g in seq)
-            if kinds in entries:
-                continue
-            gi = di = None
-            for i, g in enumerate(seq):
-                if g.kind == "rx" and abs(g.angle - (-2.0 * g0)) < 1e-9:
-                    gi = i
-                if g.kind == "rz" and abs(g.angle - (-2.0 * d0)) < 1e-9:
-                    di = i
-            entries[kinds] = (tag, gi, di)
-    return sorted(
-        ((kinds, *meta) for kinds, meta in entries.items()),
-        key=lambda e: (-len(e[0]), e[0]),
-    )
-
-
-_TEMPLATES = _build_templates()
-
-
-def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
-    """Group native gates back into two-qubit propagator gates.
-
-    Greedy longest-first matching of the emitter's per-gate native blocks;
-    every match is verified against the dense gate matrix before acceptance.
-    """
-    gates = native.gates
-    out: list[PairGate] = []
-    pos = 0
-    while pos < len(gates):
-        matched = None
-        for kinds, tag, gi, di in _TEMPLATES:
-            end = pos + len(kinds)
-            if end > len(gates):
-                continue
-            window = gates[pos:end]
-            if tuple(g.kind for g in window) != kinds:
-                continue
-            qubits = {q for g in window for q in g.qubits}
-            if len(qubits) != 2 or max(qubits) - min(qubits) != 1:
-                continue
-            base = min(qubits)
-            local = tuple(
-                NativeGate(g.kind, tuple(q - base for q in g.qubits), g.angle)
-                for g in window
-            )
-            gamma = -0.5 * window[gi].angle if gi is not None else 0.0
-            delta = -0.5 * window[di].angle if di is not None else 0.0
-            params = RGateParams(gamma, delta)
-            target = conjugated_r_matrix(params, tag)
-            if _dense.phase_distance(sequence_unitary(local), target) < RECOGNIZE_TOL:
-                matched = PairGate(base, params, tag)
-                pos = end
-                break
-        if matched is None:
-            raise ConfigError(
-                f"unrecognized gate structure at native gate {pos}; expected "
-                "the per-gate blocks produced by the QASM emitter"
-            )
-        out.append(matched)
-    return columnize(Circuit(native.num_qubits, tuple(out)))
 
 
 # ---- commands ----
@@ -284,6 +205,10 @@ def _cmd_evolve(args) -> int:
     modes = ("exact", "trotter", "compressed") if mode == "all" else (mode,)
     if mode == "all" and args.out is None:
         raise ConfigError("--out is required with mode=all")
+    if noise is not None and mode in ("trotter", "compressed") and args.out is None:
+        raise ConfigError("--out is required for the noisy companion series")
+    if args.qasm_out is not None and mode not in ("trotter", "compressed"):
+        raise ConfigError("--qasm-out needs mode trotter or compressed")
     series = {m: run_dynamics(cfg.spins, cfg.j, plan, m, init_state=init) for m in modes}
     if mode == "all":
         out = Path(args.out)
@@ -294,17 +219,12 @@ def _cmd_evolve(args) -> int:
     else:
         _write(Path(args.out), series[mode].to_csv())
     if noise is not None and mode in ("trotter", "compressed"):
-        if args.out is None:
-            raise ConfigError("--out is required for the noisy companion series")
         rows = _noisy_rows(cfg, plan, mode, noise, init)
         _write(_suffixed(Path(args.out), "noisy"), _rows_to_csv(rows, plan))
     if args.qasm_out is not None:
-        if mode == "trotter":
-            circ = build_trotter_circuit(cfg.spins, cfg.j, plan)
-        elif mode == "compressed":
-            circ = compress(build_trotter_circuit(cfg.spins, cfg.j, plan)).circuit
-        else:
-            raise ConfigError("--qasm-out needs mode trotter or compressed")
+        circ = build_trotter_circuit(cfg.spins, cfg.j, plan)
+        if mode == "compressed":
+            circ = compress(circ).circuit
         _write(Path(args.qasm_out), to_qasm(circ))
     return 0
 
@@ -334,6 +254,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol!r}")
     a = from_qasm(Path(args.circuit_a).read_text(encoding="utf-8"))
     b = from_qasm(Path(args.circuit_b).read_text(encoding="utf-8"))
     if a.num_qubits != b.num_qubits:

@@ -1,10 +1,10 @@
 """Rewrite engine for alternating-layer circuits of R(gamma, delta) gates.
 
-Three rewrites preserve the circuit unitary up to global phase: merging two
-same-pair gates by parameter addition, the three-gate bridge move, and block
-reflection. The absorption loop combines them so that any number of
-alternating layers collapses into a block of at most N(N-1)/2 gates laid out
-on an N-slot alternating template.
+Two rewrites preserve the circuit unitary up to global phase: merging two
+same-pair gates by parameter addition and the three-gate bridge move. The
+absorption loop combines them so that any number of alternating layers
+collapses into a block of at most N(N-1)/2 gates laid out on an N-slot
+alternating template.
 
 Internally a circuit is tracked as a word of letters [pair, gamma, delta]
 together with the permutation its pair swaps generate. A new gate either
@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .circuit_ir import Circuit, PairGate, columnize
-from .propagators import Angles3, RGateParams, class_conjugation
-from .spin_model import ZERO_TOL, HamiltonianClass
-from .ybe import YbeForm, YbeTriple, solve, wrap_angle
+from .propagators import Angles3, RGateParams
+from .spin_model import FAMILY_TABLE, ZERO_TOL, CouplingParams, HamiltonianClass, classify
+from .ybe import YbeTriple, solve, wrap_angle
 
 RESIDUAL_BUDGET = 1e-6
 
@@ -35,46 +35,20 @@ class ResidualBudgetError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RewriteMove:
-    """One local rewrite: kind 'merge' or 'ybe' at a gate-list position.
-
-    For 'ybe', direction names the layout of the matched triple (LEFT means
-    outer gates on the lower pair) and the move rewrites it to the opposite
-    layout. For 'merge', position addresses the earlier of the two gates.
-    """
-
-    kind: str
-    position: int
-    direction: YbeForm | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("merge", "ybe"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.position < 0:
-            raise ValueError(f"position must be nonnegative, got {self.position}")
-        if self.kind == "ybe" and self.direction is None:
-            raise ValueError("ybe moves need a direction")
-        if self.kind == "merge" and self.direction is not None:
-            raise ValueError("merge moves take no direction")
-
-
-@dataclass(frozen=True)
 class CompressedBlock:
     """Alternating-template block equivalent to a deep circuit.
 
     slots maps each of the N template slots to gate indices of circuit;
-    slot k holds even pairs when (k + flip) % 2 == 0, odd pairs otherwise.
-    residual is the summed verified residual of every bridge move behind
-    the block; ybe_moves counts them.
+    slot k holds even pairs when k is even, odd pairs otherwise. residual is
+    the summed verified residual of every bridge move behind the block;
+    ybe_moves counts them.
     """
 
     circuit: Circuit
     klass: HamiltonianClass
-    conjugation: str
     residual: float
     ybe_moves: int
     slots: tuple[tuple[int, ...], ...]
-    flip: bool = False
 
     def __post_init__(self) -> None:
         n = self.circuit.num_qubits
@@ -95,15 +69,18 @@ class CompressedBlock:
         if flat != list(range(len(self.circuit.gates))):
             raise ValueError("slots must partition the gate list")
         for k, idxs in enumerate(self.slots):
-            par = (k + int(self.flip)) % 2
             for i in idxs:
                 g = self.circuit.gates[i]
-                if g.pair % 2 != par:
+                if g.pair % 2 != k % 2:
                     raise ValueError(f"gate on pair {g.pair} misplaced in slot {k}")
                 if not isinstance(g.params, RGateParams):
                     raise TypeError("block gates must carry RGateParams")
                 if g.conjugation != self.conjugation:
                     raise ValueError("block gates must share the block conjugation tag")
+
+    @property
+    def conjugation(self) -> str:
+        return self.klass.family.conjugation
 
     @property
     def num_qubits(self) -> int:
@@ -142,74 +119,6 @@ def merge(a: PairGate, b: PairGate) -> PairGate:
             a.params.gamma + b.params.gamma, a.params.delta + b.params.delta
         )
     return PairGate(a.pair, params, a.conjugation)
-
-
-def _bridge_form(c: Circuit, pos: int) -> YbeForm:
-    if pos < 0 or pos + 3 > len(c.gates):
-        raise ValueError(f"no gate triple at position {pos}")
-    p0, p1, p2 = (c.gates[pos + k].pair for k in range(3))
-    if p0 != p2 or abs(p1 - p0) != 1:
-        raise ValueError(
-            f"gates at position {pos} lie on pairs ({p0}, {p1}, {p2}), not a bridge"
-        )
-    return YbeForm.LEFT if p0 < p1 else YbeForm.RIGHT
-
-
-def apply_ybe_move(c: Circuit, move: RewriteMove) -> Circuit:
-    """Rewrite three consecutive bridge-pattern gates into the mirrored layout."""
-    if move.kind != "ybe":
-        raise ValueError(f"expected a ybe move, got {move.kind!r}")
-    form = _bridge_form(c, move.position)
-    if move.direction is not form:
-        raise ValueError(
-            f"move direction {move.direction} does not match the {form} pattern found"
-        )
-    g0, g1, g2 = c.gates[move.position : move.position + 3]
-    for g in (g0, g1, g2):
-        if not isinstance(g.params, RGateParams):
-            raise TypeError("bridge moves require RGateParams gates")
-    if not (g0.conjugation == g1.conjugation == g2.conjugation):
-        raise ValueError("bridge moves require a uniform conjugation tag")
-    # operator order is the reverse of time order
-    sol = solve(YbeTriple((g2.params, g1.params, g0.params), form))
-    o1, o2, o3 = sol.triple.gates
-    conj = g0.conjugation
-    new = (
-        PairGate(g1.pair, RGateParams(*_wrap_pair(o3)), conj),
-        PairGate(g0.pair, RGateParams(*_wrap_pair(o2)), conj),
-        PairGate(g1.pair, RGateParams(*_wrap_pair(o1)), conj),
-    )
-    gates = c.gates[: move.position] + new + c.gates[move.position + 3 :]
-    return columnize(Circuit(c.num_qubits, gates))
-
-
-def apply_merge_move(c: Circuit, move: RewriteMove) -> Circuit:
-    """Merge the gate at position with the next gate touching its qubits."""
-    if move.kind != "merge":
-        raise ValueError(f"expected a merge move, got {move.kind!r}")
-    if move.position >= len(c.gates):
-        raise ValueError(f"no gate at position {move.position}")
-    a = c.gates[move.position]
-    span = {a.pair, a.pair + 1}
-    for j in range(move.position + 1, len(c.gates)):
-        b = c.gates[j]
-        if span & {b.pair, b.pair + 1}:
-            if b.pair != a.pair:
-                raise ValueError(
-                    f"gate at {j} touches the merge qubits but sits on pair {b.pair}"
-                )
-            gates = (
-                c.gates[: move.position]
-                + (merge(a, b),)
-                + c.gates[move.position + 1 : j]
-                + c.gates[j + 1 :]
-            )
-            return columnize(Circuit(c.num_qubits, gates))
-    raise ValueError(f"no merge partner after position {move.position}")
-
-
-def _wrap_pair(p: RGateParams) -> tuple[float, float]:
-    return float(wrap_angle(p.gamma)), float(wrap_angle(p.delta))
 
 
 class _WordEngine:
@@ -275,9 +184,9 @@ class _WordEngine:
         self.word[-1][1] += gamma
         self.word[-1][2] += delta
 
-    def emit(self, flip: bool) -> list[list[list[float]]]:
+    def emit(self) -> list[list[list[float]]]:
         """Rebuild the word right-to-left into the alternating-slot template."""
-        slots = _peel_template(self.perm, self.n, flip)
+        slots = _peel_template(self.perm, self.n)
         if slots is None:
             raise RuntimeError(f"template peel failed for permutation {self.perm}")
         out: list[list[list[float]]] = [[] for _ in range(self.n)]
@@ -294,71 +203,42 @@ class _WordEngine:
         return out
 
 
-def _peel_template(perm: list[int], n: int, flip: bool) -> list[list[int]] | None:
+def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
     """Greedy right-to-left peel of a permutation into n alternating slots."""
     sigma = list(perm)
     slots: list[list[int]] = [[] for _ in range(n)]
     for k in range(n - 1, -1, -1):
-        start = 0 if (k + int(flip)) % 2 == 0 else 1
-        for j in range(start, n - 1, 2):
+        for j in range(k % 2, n - 1, 2):
             if sigma[j] > sigma[j + 1]:
                 sigma[j], sigma[j + 1] = sigma[j + 1], sigma[j]
                 slots[k].append(j)
     return slots if sigma == sorted(sigma) else None
 
 
-_CLASS_PARAMS = {
-    HamiltonianClass.X: lambda a: (a.theta_x, 0.0),
-    HamiltonianClass.Y: lambda a: (a.theta_y, 0.0),
-    HamiltonianClass.Z: lambda a: (0.0, a.theta_z),
-    HamiltonianClass.XY: lambda a: (a.theta_x, a.theta_y),
-    HamiltonianClass.XZ: lambda a: (a.theta_x, a.theta_z),
-    HamiltonianClass.YZ: lambda a: (a.theta_y, a.theta_z),
-}
-
-
-def _active_axes(a: Angles3) -> set[str]:
-    axes = set()
-    for axis, theta in zip("xyz", a.as_tuple()):
-        if abs(theta) > ZERO_TOL:
-            axes.add(axis)
-    return axes
-
-
-def _class_from_axes(axes: set[str]) -> HamiltonianClass:
-    if not axes:
-        return HamiltonianClass.X
-    for klass in HamiltonianClass:
-        if set(klass.axes) == axes:
-            return klass
-    raise UnsupportedClassError(f"no gate family covers axes {sorted(axes)}")
-
-
-def _r_form_gate(g: PairGate, klass: HamiltonianClass, conj: str) -> PairGate:
+def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
+    """(gamma, delta) of a gate of the block's class."""
+    family = klass.family
     if isinstance(g.params, RGateParams):
-        if g.conjugation != conj:
+        if g.conjugation != family.conjugation:
             raise ValueError(
-                f"gate conjugation {g.conjugation!r} does not match the block's {conj!r}"
+                f"gate conjugation {g.conjugation!r} does not match the block's "
+                f"{family.conjugation!r}"
             )
-        return g
-    axes = _active_axes(g.params)
-    if not axes <= set(klass.axes):
-        raise ValueError(
-            f"gate with axes {sorted(axes)} does not fit class {klass.name}"
-        )
-    gamma, delta = _CLASS_PARAMS[klass](g.params)
-    return PairGate(g.pair, RGateParams(gamma, delta), conj)
+        return g.params.as_tuple()
+    axes = [axis for axis, t in zip("xyz", g.params.as_tuple()) if abs(t) > ZERO_TOL]
+    if not set(axes) <= set(klass.axes):
+        raise ValueError(f"gate with axes {axes} does not fit class {klass.name}")
+    return family.r_params(g.params)
 
 
 def _block_from_slots(
     n: int,
     slot_letters: list[list[list[float]]],
     klass: HamiltonianClass,
-    conj: str,
     residual: float,
     moves: int,
-    flip: bool,
 ) -> CompressedBlock:
+    conj = klass.family.conjugation
     gates: list[PairGate] = []
     slots: list[tuple[int, ...]] = []
     for letters in slot_letters:
@@ -369,17 +249,12 @@ def _block_from_slots(
         slots.append(tuple(idxs))
     columns = tuple(s for s in slots if s)
     circ = Circuit(n, tuple(gates), columns)
-    return CompressedBlock(circ, klass, conj, residual, moves, tuple(slots), flip)
+    return CompressedBlock(circ, klass, residual, moves, tuple(slots))
 
 
-def empty_block(
-    n: int,
-    klass: HamiltonianClass = HamiltonianClass.X,
-    conjugation: str | None = None,
-) -> CompressedBlock:
+def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> CompressedBlock:
     """The identity block: no gates, all template slots free."""
-    conj = class_conjugation(klass) if conjugation is None else conjugation
-    return _block_from_slots(n, [[] for _ in range(n)], klass, conj, 0.0, 0, False)
+    return _block_from_slots(n, [[] for _ in range(n)], klass, 0.0, 0)
 
 
 def _engine_for(block: CompressedBlock) -> _WordEngine:
@@ -400,67 +275,42 @@ def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlo
     """
     eng = _engine_for(block)
     for g in layer:
-        rg = _r_form_gate(g, block.klass, block.conjugation)
-        eng.absorb(rg.pair, rg.params.gamma, rg.params.delta)
-    letters = eng.emit(block.flip)
+        eng.absorb(g.pair, *_r_form_gate(g, block.klass))
     return _block_from_slots(
         block.num_qubits,
-        letters,
+        eng.emit(),
         block.klass,
-        block.conjugation,
         eng.residual,
         block.ybe_moves + eng.moves,
-        block.flip,
     )
 
 
-def reflect_block(block: CompressedBlock) -> CompressedBlock:
-    """Mirror the block's template alignment (even-start <-> odd-start)."""
-    eng = _engine_for(block)
-    flip = not block.flip
-    letters = eng.emit(flip)
-    return _block_from_slots(
-        block.num_qubits,
-        letters,
-        block.klass,
-        block.conjugation,
-        eng.residual,
-        block.ybe_moves + eng.moves,
-        flip,
-    )
-
-
-def _detect_class(c: Circuit) -> tuple[HamiltonianClass, str]:
+def _detect_class(c: Circuit) -> HamiltonianClass:
     kinds = {type(g.params) for g in c.gates}
     if len(kinds) > 1:
         raise UnsupportedClassError("cannot compress mixed parameter kinds")
     if kinds == {Angles3}:
-        axes: set[str] = set()
-        for g in c.gates:
-            axes |= _active_axes(g.params)
-        klass = _class_from_axes(axes)
+        peaks = (max(abs(g.params.as_tuple()[k]) for g in c.gates) for k in range(3))
+        klass = classify(CouplingParams(*peaks))
         if klass is HamiltonianClass.XYZ:
             raise UnsupportedClassError(
                 "three-axis couplings are outside the compressible families"
             )
-        return klass, class_conjugation(klass)
+        return klass
     tags = {g.conjugation for g in c.gates}
     if len(tags) > 1:
         raise UnsupportedClassError("cannot compress mixed conjugation tags")
-    conj = tags.pop()
-    has_g = any(abs(g.params.gamma) > ZERO_TOL for g in c.gates)
-    has_d = any(abs(g.params.delta) > ZERO_TOL for g in c.gates)
-    if conj == "u2":
-        klass = HamiltonianClass.XY
-    elif conj == "u1":
-        klass = HamiltonianClass.YZ if has_d else HamiltonianClass.Y
-    elif has_g and has_d:
-        klass = HamiltonianClass.XZ
-    elif has_d:
-        klass = HamiltonianClass.Z
-    else:
-        klass = HamiltonianClass.X
-    return klass, conj
+    tag = tags.pop()
+    has_gamma = any(abs(g.params.gamma) > ZERO_TOL for g in c.gates)
+    has_delta = any(abs(g.params.delta) > ZERO_TOL for g in c.gates)
+    # the first family of this tag that feeds every parameter present
+    return next(
+        klass
+        for klass, family in FAMILY_TABLE.items()
+        if family.conjugation == tag
+        and (family.gamma_axis or not has_gamma)
+        and (family.delta_axis or not has_delta)
+    )
 
 
 def compress(c: Circuit) -> CompressedBlock:
@@ -473,8 +323,7 @@ def compress(c: Circuit) -> CompressedBlock:
     if not c.gates:
         return empty_block(c.num_qubits)
     cc = c if c.columns is not None else columnize(c)
-    klass, conj = _detect_class(cc)
-    block = empty_block(cc.num_qubits, klass, conj)
+    block = empty_block(cc.num_qubits, _detect_class(cc))
     cols = cc.columns
     for start in range(0, len(cols), 2):
         layer = [cc.gates[i] for col in cols[start : start + 2] for i in col]
@@ -492,16 +341,12 @@ def pad_to_template(block: CompressedBlock) -> CompressedBlock:
     letters: list[list[list[float]]] = []
     for k, idxs in enumerate(block.slots):
         have = {block.circuit.gates[i].pair: block.circuit.gates[i] for i in idxs}
-        start = 0 if (k + int(block.flip)) % 2 == 0 else 1
         row = []
-        for j in range(start, n - 1, 2):
+        for j in range(k % 2, n - 1, 2):
             g = have.get(j)
             if g is None:
                 row.append([j, 0.0, 0.0])
             else:
                 row.append([j, g.params.gamma, g.params.delta])
         letters.append(row)
-    return _block_from_slots(
-        n, letters, block.klass, block.conjugation, block.residual,
-        block.ybe_moves, block.flip,
-    )
+    return _block_from_slots(n, letters, block.klass, block.residual, block.ybe_moves)

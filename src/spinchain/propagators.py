@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import Angles3, CouplingParams, HamiltonianClass, classify
+from .spin_model import ZERO_TOL, Angles3, CouplingParams, HamiltonianClass, classify
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -178,31 +178,16 @@ def conjugated_r_matrix(p: RGateParams, tag: str) -> np.ndarray:
 def from_angles3(a: Angles3) -> tuple[RGateParams, str, bool]:
     """Map a step-angle triple onto the R(gamma, delta) class of its Hamiltonian.
 
-    Returns (params, conjugation_tag, ok). The mapping satisfies
-    xyz_propagator(a) = U R(gamma, delta) U^dag exactly, with U the returned
-    conjugator:
-
-      X:  (tx, 0)  none        Y:  (ty, 0)  u1        Z:  (0, tz)  none
-      XY: (tx, ty) u2          XZ: (tx, tz) none      YZ: (ty, tz) u1
-
-    The full XYZ class is outside the two-parameter family: ok is False and
-    the params are zeros.
+    Returns (params, conjugation_tag, ok) from the family's row of
+    FAMILY_TABLE, so that xyz_propagator(a) = U R(gamma, delta) U^dag
+    exactly, with U the returned conjugator. The full XYZ class is outside
+    the two-parameter family: ok is False and the params are zeros.
     """
-    tx, ty, tz = a.as_tuple()
-    klass = classify(CouplingParams(tx, ty, tz))
-    if klass is HamiltonianClass.X:
-        return RGateParams(tx, 0.0), "none", True
-    if klass is HamiltonianClass.Y:
-        return RGateParams(ty, 0.0), "u1", True
-    if klass is HamiltonianClass.Z:
-        return RGateParams(0.0, tz), "none", True
-    if klass is HamiltonianClass.XY:
-        return RGateParams(tx, ty), "u2", True
-    if klass is HamiltonianClass.XZ:
-        return RGateParams(tx, tz), "none", True
-    if klass is HamiltonianClass.YZ:
-        return RGateParams(ty, tz), "u1", True
-    return RGateParams(0.0, 0.0), "none", False
+    klass = classify(CouplingParams(*a.as_tuple()))
+    if klass is HamiltonianClass.XYZ:
+        return RGateParams(0.0, 0.0), "none", False
+    family = klass.family
+    return RGateParams(*family.r_params(a)), family.conjugation, True
 
 
 def decompose_xyz(a: Angles3) -> GateSequence:
@@ -227,21 +212,8 @@ def decompose_xyz(a: Angles3) -> GateSequence:
     )
 
 
-def _xz_core(gamma: float, delta: float) -> list[NativeGate]:
-    # two-CX core: CX (rx(-2g) x rz(-2d)) CX = exp(i(g XX + d ZZ)) exactly
-    gates: list[NativeGate] = [NativeGate("cx", (0, 1))]
-    if gamma != 0.0:
-        gates.append(NativeGate("rx", (0,), -2.0 * gamma))
-    if delta != 0.0:
-        gates.append(NativeGate("rz", (1,), -2.0 * delta))
-    if len(gates) == 1:
-        # keep the identity gate's shape stable: emit the rotation anyway
-        gates.append(NativeGate("rx", (0,), 0.0))
-    gates.append(NativeGate("cx", (0, 1)))
-    return gates
-
-
-_SANDWICH = {
+# native gates before and after the two-CX core, per conjugation tag
+SANDWICH = {
     "none": ((), ()),
     "u1": (
         (NativeGate("rz", (0,), -math.pi / 2), NativeGate("rz", (1,), -math.pi / 2)),
@@ -253,39 +225,33 @@ _SANDWICH = {
     ),
 }
 
-_CLASS_CONJUGATION = {
-    HamiltonianClass.X: "none",
-    HamiltonianClass.Y: "u1",
-    HamiltonianClass.Z: "none",
-    HamiltonianClass.XY: "u2",
-    HamiltonianClass.XZ: "none",
-    HamiltonianClass.YZ: "u1",
-}
 
-_PARAM_TOL = 1e-9
+def r_gate_sequence(p: RGateParams, tag: str) -> GateSequence:
+    """Two-CX native circuit for U R(gamma, delta) U^dag, U named by tag.
 
-
-def class_conjugation(klass: HamiltonianClass) -> str:
-    if klass is HamiltonianClass.XYZ:
-        raise ValueError("class XYZ is outside the R(gamma, delta) family")
-    return _CLASS_CONJUGATION[klass]
+    The core CX (rx(-2 gamma) x rz(-2 delta)) CX equals R(gamma, delta)
+    exactly; a zero parameter drops its rotation, but the identity gate keeps
+    rx(0) so that its shape stays stable. With the tag's sandwich the circuit
+    is exact for tag none and up to global phase otherwise.
+    """
+    core = [NativeGate("rx", (0,), -2.0 * p.gamma)] if p.gamma != 0.0 else []
+    if p.delta != 0.0:
+        core.append(NativeGate("rz", (1,), -2.0 * p.delta))
+    cx = NativeGate("cx", (0, 1))
+    before, after = SANDWICH[tag]
+    return (*before, cx, *(core or [NativeGate("rx", (0,), 0.0)]), cx, *after)
 
 
 def special_case_sequence(klass: HamiltonianClass, p: RGateParams) -> GateSequence:
-    """Two-CX native circuit for one Table-class propagator.
-
-    The evaluated unitary equals conjugated_r_matrix(p, tag) for the class
-    conjugator tag, exactly for the none-tag classes and up to global phase
-    otherwise. Single-axis classes require the unused parameter to be zero.
+    """Two-CX native circuit for one class propagator, conjugated by the
+    class's tag. Single-axis classes require the unused parameter to be zero.
     """
-    if klass is HamiltonianClass.XYZ:
-        raise ValueError("class XYZ has no fixed two-CX circuit; use decompose_xyz")
-    if klass in (HamiltonianClass.X, HamiltonianClass.Y) and abs(p.delta) > _PARAM_TOL:
-        raise ValueError(f"class {klass.value} requires delta = 0, got {p.delta!r}")
-    if klass is HamiltonianClass.Z and abs(p.gamma) > _PARAM_TOL:
-        raise ValueError(f"class Z requires gamma = 0, got {p.gamma!r}")
-    before, after = _SANDWICH[_CLASS_CONJUGATION[klass]]
-    return tuple([*before, *_xz_core(p.gamma, p.delta), *after])
+    family = klass.family
+    fed = (("gamma", family.gamma_axis, p.gamma), ("delta", family.delta_axis, p.delta))
+    for name, axis, value in fed:
+        if not axis and abs(value) > ZERO_TOL:
+            raise ValueError(f"class {klass.value} requires {name} = 0, got {value!r}")
+    return r_gate_sequence(p, family.conjugation)
 
 
 def sequence_unitary(seq: GateSequence) -> np.ndarray:

@@ -89,6 +89,14 @@ def neel_state(n: int) -> np.ndarray:
     return basis_state(n, "01" * (n // 2) + "0" * (n % 2))
 
 
+def _initial_state(n: int, init_state: np.ndarray | None) -> np.ndarray:
+    """The given state as a complex vector of dimension 2^n; Neel when None."""
+    init = neel_state(n) if init_state is None else np.asarray(init_state, dtype=complex)
+    if init.shape[0] != 1 << n:
+        raise ValueError(f"initial state has dimension {init.shape[0]}, need {1 << n}")
+    return init
+
+
 def apply_circuit(state: np.ndarray, c: Circuit | NativeCircuit) -> np.ndarray:
     """Apply every gate of c to the statevector, in circuit order."""
     dim = 1 << c.num_qubits
@@ -229,9 +237,7 @@ def run_dynamics(
     _check_size(n)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    init = neel_state(n) if init_state is None else np.asarray(init_state, dtype=complex)
-    if init.shape[0] != 1 << n:
-        raise ValueError(f"initial state has dimension {init.shape[0]}, need {1 << n}")
+    init = _initial_state(n, init_state)
     runner = {
         "exact": _exact_series,
         "trotter": _trotter_series,
@@ -311,9 +317,7 @@ def run_noisy(
     """
     native = to_native(c) if isinstance(c, Circuit) else c
     n = native.num_qubits
-    init = neel_state(n) if init_state is None else np.asarray(init_state, dtype=complex)
-    if init.shape[0] != 1 << n:
-        raise ValueError(f"initial state has dimension {init.shape[0]}, need {1 << n}")
+    init = _initial_state(n, init_state)
     values = _noisy_trajectory(native, 1, noise, init, observable)
     return _mean_stderr(values[1], noise.shots)
 
@@ -335,8 +339,6 @@ def run_noisy_series(
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     native = to_native(step) if isinstance(step, Circuit) else step
     n = native.num_qubits
-    init = neel_state(n) if init_state is None else np.asarray(init_state, dtype=complex)
-    if init.shape[0] != 1 << n:
-        raise ValueError(f"initial state has dimension {init.shape[0]}, need {1 << n}")
+    init = _initial_state(n, init_state)
     values = _noisy_trajectory(native, num_steps, noise, init, observable)
     return [_mean_stderr(values[k], noise.shots) for k in range(num_steps + 1)]

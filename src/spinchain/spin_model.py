@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
+# couplings, angles and R-gate parameters at or below this magnitude are absent
 ZERO_TOL = 1e-12
 
 
@@ -28,6 +30,13 @@ class HamiltonianClass(Enum):
     @property
     def axes(self) -> str:
         return self.value.lower()
+
+    @property
+    def family(self) -> Family:
+        """This class's row of FAMILY_TABLE; XYZ has none."""
+        if self is HamiltonianClass.XYZ:
+            raise ValueError("class XYZ is outside the R(gamma, delta) family")
+        return FAMILY_TABLE[self]
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,36 @@ class Angles3:
         return (self.theta_x, self.theta_y, self.theta_z)
 
 
+class Family(NamedTuple):
+    """How a two-axis coupling family sits in the R(gamma, delta) gate class.
+
+    The family's two-spin propagator xyz_propagator(a) equals
+    U R(gamma, delta) U^dag exactly, with U the conjugator named by
+    conjugation, and gamma, delta the Angles3 components named by
+    gamma_axis, delta_axis ("" feeds 0.0).
+    """
+
+    conjugation: str
+    gamma_axis: str
+    delta_axis: str
+
+    def r_params(self, a: Angles3) -> tuple[float, float]:
+        return tuple(
+            getattr(a, f"theta_{axis}") if axis else 0.0
+            for axis in (self.gamma_axis, self.delta_axis)
+        )
+
+
+FAMILY_TABLE = {
+    HamiltonianClass.X: Family("none", "x", ""),
+    HamiltonianClass.Y: Family("u1", "y", ""),
+    HamiltonianClass.Z: Family("none", "", "z"),
+    HamiltonianClass.XY: Family("u2", "x", "y"),
+    HamiltonianClass.XZ: Family("none", "x", "z"),
+    HamiltonianClass.YZ: Family("u1", "y", "z"),
+}
+
+
 @dataclass(frozen=True)
 class TrotterPlan:
     """Uniform time grid: num_steps = round(t_final / dt), at least 1."""
@@ -91,18 +130,16 @@ class TrotterPlan:
         return [k * self.dt for k in range(self.num_steps + 1)]
 
 
-def classify(j: CouplingParams, zero_tol: float = ZERO_TOL) -> HamiltonianClass:
-    """Map couplings to their Hamiltonian class, treating |J| <= zero_tol as zero.
+def classify(j: CouplingParams) -> HamiltonianClass:
+    """Map couplings to their Hamiltonian class, treating |J| <= ZERO_TOL as zero.
 
     All-zero couplings classify as X (identity dynamics) so the pipeline
     stays total.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
     name = "".join(
         axis
         for axis, value in zip("XYZ", j.as_tuple())
-        if abs(value) > zero_tol
+        if abs(value) > ZERO_TOL
     )
     return HamiltonianClass(name or "X")
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from spinchain._dense import phase_distance
-from spinchain.circuit_ir import build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
-from spinchain.cli import ConfigError, JobConfig, load_config, main, recognize_pair_circuit
+from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
+from spinchain.cli import MAX_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
+from spinchain.propagators import RGateParams
 from spinchain.spin_model import CouplingParams, TrotterPlan
 
 BASE_CONFIG = {
@@ -103,6 +104,41 @@ def test_evolve_all_requires_out(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["evolve", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_evolve_rejects_bad_output_flags_before_running(tmp_path, capsys):
+    # each combination fails up front: no file written, nothing on stdout
+    plain = write_config(tmp_path, "plain.json")
+    noisy = write_config(tmp_path, "noisy.json", noise={"p2": 0.01, "shots": 4, "seed": 1})
+    runs = [
+        (plain, ["--mode", "all", "--out", "s.csv", "--qasm-out", "c.qasm"], "--qasm-out"),
+        (plain, ["--mode", "exact", "--out", "s.csv", "--qasm-out", "c.qasm"], "--qasm-out"),
+        (noisy, ["--mode", "trotter"], "--out"),
+        (noisy, ["--mode", "compressed", "--qasm-out", "c.qasm"], "--out"),
+    ]
+    for cfg, flags, needle in runs:
+        argv = ["evolve", "--config", str(cfg)]
+        argv += [str(tmp_path / f) if f.endswith((".csv", ".qasm")) else f for f in flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert needle in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.json", "plain.json"]
+
+
+def test_load_config_rejects_oversized_jobs(tmp_path):
+    # num_steps x (spins - 1) pair gates may reach the ceiling, not pass it;
+    # only load_config runs, so a missing check allocates nothing
+    at_limit = write_config(tmp_path, spins=3, dt=1.0, t_final=MAX_PAIR_GATES / 2)
+    assert load_config(at_limit).t_final == MAX_PAIR_GATES / 2
+    for overrides in (
+        {"spins": 3, "dt": 1.0, "t_final": MAX_PAIR_GATES / 2 + 1},
+        {"spins": 3, "dt": 0.1, "t_final": 1e11},
+        {"spins": 2, "dt": 1e-300, "t_final": 1e300},
+    ):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, **overrides))
+        assert "too large" in str(err.value)
 
 
 def test_evolve_outputs_are_byte_identical(tmp_path):
@@ -238,13 +274,25 @@ def test_compress_requires_exactly_one_input(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("family", ["x", "y", "z", "xy", "xz", "yz"])
-def test_compress_output_matches_golden_bytes(family, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "family, source",
+    [
+        pytest.param(family, source, id=family if source == "config" else f"{family}-qasm")
+        for source in ("config", "qasm")
+        for family in ("x", "y", "z", "xy", "xz", "yz")
+    ],
+)
+def test_compress_output_matches_golden_bytes(family, source, tmp_path, capsys):
     # N = 5, 10 steps per coupling family; QASM text and stats line
-    # (residual included) must stay byte-identical through rewrites
+    # (residual included) must stay byte-identical through rewrites. The
+    # QASM input is the same job's Trotter circuit (evolve --mode trotter
+    # --qasm-out); recognising it yields the same compressed bytes.
     qasm_out = tmp_path / "out.qasm"
-    cfg = GOLDEN / f"compress_{family}.json"
-    assert main(["compress", "--config", str(cfg), "--qasm-out", str(qasm_out)]) == 0
+    if source == "config":
+        argv = ["--config", str(GOLDEN / f"compress_{family}.json")]
+    else:
+        argv = [str(GOLDEN / f"trotter_{family}.qasm")]
+    assert main(["compress", *argv, "--qasm-out", str(qasm_out)]) == 0
     stats = (GOLDEN / f"compress_{family}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == stats
     assert qasm_out.read_bytes() == (GOLDEN / f"compress_{family}.qasm").read_bytes()
@@ -277,6 +325,18 @@ def test_recognize_pair_circuit_matches_source():
         native = to_native(c)
         rebuilt = recognize_pair_circuit(native)
         assert phase_distance(unitary_of(rebuilt), unitary_of(c)) < 1e-10
+    # every tag with every two-CX core shape (both rotations, rx alone, rz
+    # alone), the identity gate (0, 0) and parameters of 5e-10, on both pairs
+    shapes = set()
+    for tag in ("none", "u1", "u2"):
+        for params in ((0.3, -0.2), (0.3, 0.0), (0.0, -0.2), (0.0, 0.0), (5e-10, -0.2), (0.3, 5e-10), (5e-10, 5e-10)):
+            c = Circuit(3, tuple(PairGate(p, RGateParams(*params), tag) for p in (0, 1)))
+            native = to_native(c)
+            shapes.add((tag, tuple(g.kind for g in native.gates[: len(native.gates) // 2])))
+            rebuilt = recognize_pair_circuit(native)
+            assert rebuilt.gates == c.gates
+            assert phase_distance(unitary_of(rebuilt), unitary_of(c)) < 1e-10
+    assert len(shapes) == 9
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
@@ -296,7 +356,7 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_tolerance_flag(tmp_path):
+def test_verify_tolerance_flag(tmp_path, capsys):
     j = CouplingParams(0.3, 0.0, 0.0)
     a = build_trotter_circuit(2, j, TrotterPlan(0.1, 0.1))
     b = build_trotter_circuit(2, CouplingParams(0.3 + 1e-9, 0.0, 0.0), TrotterPlan(0.1, 0.1))
@@ -306,6 +366,13 @@ def test_verify_tolerance_flag(tmp_path):
     pb.write_text(to_qasm(b), encoding="utf-8")
     assert main(["verify", str(pa), str(pb), "--tol", "1e-6"]) == 0
     assert main(["verify", str(pa), str(pb), "--tol", "1e-14"]) == 1
+    # a tolerance that is not a positive finite number is a usage error
+    for tol in ("nan", "-1", "0", "inf", "-inf"):
+        capsys.readouterr()
+        assert main(["verify", str(pa), str(pb), f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
 
 def test_errors_exit_2(tmp_path, capsys):

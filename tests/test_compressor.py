@@ -7,20 +7,15 @@ from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, unitary_of
 from spinchain.compressor import (
     CompressedBlock,
-    RewriteMove,
     UnsupportedClassError,
     absorb_layer,
-    apply_merge_move,
-    apply_ybe_move,
     compress,
     empty_block,
     merge,
     pad_to_template,
-    reflect_block,
 )
 from spinchain.propagators import RGateParams
 from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
-from spinchain.ybe import YbeForm
 
 TRIALS = 100
 TOL = 1e-12
@@ -74,62 +69,6 @@ def test_merge_rejects_mismatched_gates():
             PairGate(0, RGateParams(0.1, 0.0), "u1"),
             PairGate(0, RGateParams(0.1, 0.0), "u2"),
         )
-
-
-def test_rewrite_move_validation():
-    RewriteMove("merge", 0)
-    RewriteMove("ybe", 2, direction=YbeForm.LEFT)
-    with pytest.raises(ValueError):
-        RewriteMove("ybe", 0)  # braid move needs a direction
-    with pytest.raises(ValueError):
-        RewriteMove("merge", 0, direction=YbeForm.LEFT)
-    with pytest.raises(ValueError):
-        RewriteMove("squash", 0)
-    with pytest.raises(ValueError):
-        RewriteMove("merge", -1)
-
-
-def test_apply_ybe_move_mirrors_bridge():
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(40):
-        gates = tuple(
-            PairGate(p, RGateParams(*rng.uniform(-1.2, 1.2, 2)))
-            for p in (0, 1, 0)
-        )
-        c = Circuit(3, gates)
-        out = apply_ybe_move(c, RewriteMove("ybe", 0, direction=YbeForm.LEFT))
-        assert [g.pair for g in out.gates] == [1, 0, 1]
-        assert phase_distance(unitary_of(out), unitary_of(c)) < 1e-8
-
-
-def test_apply_ybe_move_direction_must_match_layout():
-    gates = tuple(PairGate(p, RGateParams(0.2, 0.1)) for p in (0, 1, 0))
-    c = Circuit(3, gates)
-    with pytest.raises(ValueError):
-        apply_ybe_move(c, RewriteMove("ybe", 0, direction=YbeForm.RIGHT))
-
-
-def test_apply_merge_move_combines_same_pair():
-    gates = (
-        PairGate(0, Angles3(0.1, 0.2, 0.0)),
-        PairGate(0, Angles3(0.3, -0.1, 0.0)),
-        PairGate(1, Angles3(0.5, 0.0, 0.0)),
-    )
-    c = Circuit(3, gates)
-    out = apply_merge_move(c, RewriteMove("merge", 0))
-    assert len(out.gates) == 2
-    assert out.gates[0].params == Angles3(0.4, 0.1, 0.0)
-    assert phase_distance(unitary_of(out), unitary_of(c)) < TOL
-
-
-def test_apply_merge_move_rejects_blocked_pair():
-    gates = (
-        PairGate(0, Angles3(0.1, 0.0, 0.0)),
-        PairGate(1, Angles3(0.3, 0.0, 0.0)),  # touches qubit 1, blocks the scan
-        PairGate(0, Angles3(0.2, 0.0, 0.0)),
-    )
-    with pytest.raises(ValueError):
-        apply_merge_move(Circuit(3, gates), RewriteMove("merge", 0))
 
 
 def test_empty_block_shape():
@@ -235,40 +174,21 @@ def test_alternating_layers_bound():
         assert block.circuit.is_alternating or block.gate_count <= 1
 
 
-def test_reflect_block_preserves_unitary():
-    rng = np.random.default_rng(SEED + 3)
-    for n in (3, 4, 5):
-        c = random_xy_layers(rng, n, 4)
-        block = compress(c)
-        mirrored = reflect_block(block)
-        assert mirrored.flip != block.flip
-        assert phase_distance(
-            unitary_of(mirrored.circuit), unitary_of(block.circuit)
-        ) < 1e-8
-        back = reflect_block(mirrored)
-        assert back.flip == block.flip
-        assert phase_distance(unitary_of(back.circuit), unitary_of(block.circuit)) < 1e-8
-
-
 def test_compressed_block_validation():
     block = compress(build_trotter_circuit(3, CouplingParams(0.5, 0.2, 0.0), TrotterPlan(0.1, 0.05)))
     with pytest.raises(ValueError):
         CompressedBlock(
             block.circuit,
             block.klass,
-            block.conjugation,
             -1.0,  # negative residual
             block.ybe_moves,
             block.slots,
-            block.flip,
         )
     with pytest.raises(ValueError):
         CompressedBlock(
             block.circuit,
             HamiltonianClass.XYZ,
-            block.conjugation,
             block.residual,
             block.ybe_moves,
             block.slots,
-            block.flip,
         )

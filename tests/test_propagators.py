@@ -15,7 +15,6 @@ from spinchain.propagators import (
     S_MATRIX,
     NativeGate,
     RGateParams,
-    class_conjugation,
     conjugated_r_matrix,
     conjugation_matrix,
     decompose_xyz,
@@ -187,7 +186,7 @@ def test_special_case_sequences_match_conjugated_r():
         HamiltonianClass.YZ,
     ]
     for klass in classes:
-        tag = class_conjugation(klass)
+        tag = klass.family.conjugation
         for _ in range(40):
             gamma, delta = rng.uniform(-1.5, 1.5, 2)
             # single-axis families pin the unused parameter to zero
@@ -203,7 +202,7 @@ def test_special_case_sequences_match_conjugated_r():
 
 def test_special_case_sequence_rejects_three_axis_class():
     with pytest.raises(ValueError):
-        class_conjugation(HamiltonianClass.XYZ)
+        HamiltonianClass.XYZ.family
     with pytest.raises(ValueError):
         special_case_sequence(HamiltonianClass.XYZ, RGateParams(0.1, 0.2))
 

@@ -39,7 +39,6 @@ def test_classify_tolerance_window():
     eps = 1e-13
     assert classify(CouplingParams(1.0, eps, 0.0)) is HamiltonianClass.X
     assert classify(CouplingParams(1.0, 1e-11, 0.0)) is HamiltonianClass.XY
-    assert classify(CouplingParams(1.0, eps, 0.0), zero_tol=1e-14) is HamiltonianClass.XY
 
 
 def test_axes_property():
