@@ -11,6 +11,8 @@ import numpy as np
 from . import _dense
 from .propagators import (
     CONJUGATION_TAGS,
+    CX_MATRIX,
+    CX_REVERSED_MATRIX,
     SANDWICH,
     Angles3,
     GateSequence,
@@ -24,7 +26,7 @@ from .propagators import (
     sequence_unitary,
     xyz_propagator,
 )
-from .spin_model import CouplingParams, TrotterPlan, step_angles
+from .spin_model import MAX_ANGLE, CouplingParams, TrotterPlan, step_angles
 
 MAX_DENSE_QUBITS = 12
 
@@ -161,17 +163,76 @@ def columnize(c: Circuit) -> Circuit:
 
 
 def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
-    """Dense 2^N x 2^N unitary of the circuit, gates applied in order."""
+    """Dense 2^N x 2^N unitary of the circuit, gates applied in order.
+
+    The 2^N matrix sees one apply per fused op of _fused_ops, not one per gate.
+    """
     n = c.num_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {n}")
     u = np.eye(2 ** n, dtype=complex)
+    for qubits, m in _fused_ops(c):
+        u = _dense.apply_gate(u, m, qubits, n)
+    return u
+
+
+def _local_ops(c: Circuit | NativeCircuit):
+    """(lowest qubit, 2x2 or 4x4 matrix) per gate; a 4x4 acts on (q, q + 1)."""
     for g in c.gates:
         if isinstance(g, PairGate):
-            u = _dense.apply_gate(u, g.unitary(), (g.pair, g.pair + 1), n)
+            yield g.pair, g.unitary()
+        elif g.kind == "cx":
+            control, target = g.qubits
+            # control on the higher qubit: CX conjugated by SWAP
+            yield min(g.qubits), CX_MATRIX if control < target else CX_REVERSED_MATRIX
         else:
-            u = _dense.apply_gate(u, native_gate_matrix(g), g.qubits, n)
-    return u
+            yield g.qubits[0], native_gate_matrix(g)
+
+
+_EYE4 = np.eye(4, dtype=complex)
+
+
+def _on_local(m: np.ndarray, local: int, block: np.ndarray) -> np.ndarray:
+    """Left-multiply the 2x2 m acting on qubit local (0 or 1) into a 4x4 block."""
+    if local == 0:
+        return (m @ block.reshape(2, 8)).reshape(4, 4)
+    return (m @ block.reshape(2, 2, 4)).reshape(4, 4)
+
+
+def _fused_ops(c: Circuit | NativeCircuit):
+    """The circuit as (qubits, matrix) ops on one qubit or one adjacent pair.
+
+    Single-qubit gates collect per qubit; a two-qubit gate on pair p extends
+    the open 4x4 block on p, or closes the blocks on p - 1 and p + 1 and opens
+    one that absorbs the pending 2x2s of both its qubits. Later single-qubit
+    gates on a blocked qubit join the block. Pending blocks and 2x2s act on
+    disjoint qubits, so they commute and the order of their emission is free.
+    """
+    singles: dict[int, np.ndarray] = {}
+    blocks: dict[int, np.ndarray] = {}
+    for q, m in _local_ops(c):
+        if m.shape[0] == 2:
+            if q in blocks:
+                blocks[q] = _on_local(m, 0, blocks[q])
+            elif q - 1 in blocks:
+                blocks[q - 1] = _on_local(m, 1, blocks[q - 1])
+            else:
+                singles[q] = m @ singles[q] if q in singles else m
+        elif q in blocks:
+            blocks[q] = m @ blocks[q]
+        else:
+            for p in (q - 1, q + 1):
+                if p in blocks:
+                    yield (p, p + 1), blocks.pop(p)
+            block = _EYE4
+            for local in (0, 1):
+                if q + local in singles:
+                    block = _on_local(singles.pop(q + local), local, block)
+            blocks[q] = m @ block
+    for p, block in blocks.items():
+        yield (p, p + 1), block
+    for q, m in singles.items():
+        yield (q,), m
 
 
 def _pair_gate_native(g: PairGate) -> GateSequence:
@@ -301,6 +362,11 @@ def _parse_angle(text: str, line: int, col: int) -> float:
         value = float(t)
     else:
         raise QasmParseError(line, col, f"bad angle expression {text.strip()!r}")
+    if value > MAX_ANGLE:
+        raise QasmParseError(
+            line, col,
+            f"angle {text.strip()} is beyond ±{MAX_ANGLE:g} rad, where it keeps too little precision",
+        )
     return -value if neg else value
 
 

@@ -20,7 +20,11 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 GATE_KINDS = ("rx", "rz", "h", "s", "cx")
 
-CONJUGATION_TAGS = ("none", "u1", "u2")
+# conjugation tag -> rotation kind of its conjugator U = rot(pi/2) x rot(pi/2)
+# ("none": U is the identity); CONJUGATION_TAGS, SANDWICH and the conjugator
+# matrices all derive from this table
+_CONJUGATOR_KIND = {"none": None, "u1": "rz", "u2": "rx"}
+CONJUGATION_TAGS = tuple(_CONJUGATOR_KIND)
 
 
 @dataclass(frozen=True)
@@ -153,14 +157,14 @@ def r_matrix(p: RGateParams) -> np.ndarray:
     return xyz_propagator(Angles3(p.gamma, 0.0, p.delta))
 
 
-U1_MATRIX = np.kron(rz_matrix(math.pi / 2), rz_matrix(math.pi / 2))
-U2_MATRIX = np.kron(rx_matrix(math.pi / 2), rx_matrix(math.pi / 2))
+def _conjugator(kind: str | None) -> np.ndarray:
+    if kind is None:
+        return np.eye(4, dtype=complex)
+    m = rx_matrix(math.pi / 2) if kind == "rx" else rz_matrix(math.pi / 2)
+    return np.kron(m, m)
 
-_CONJ_MATRIX = {
-    "none": np.eye(4, dtype=complex),
-    "u1": U1_MATRIX,
-    "u2": U2_MATRIX,
-}
+
+_CONJ_MATRIX = {tag: _conjugator(kind) for tag, kind in _CONJUGATOR_KIND.items()}
 
 
 def conjugation_matrix(tag: str) -> np.ndarray:
@@ -212,17 +216,16 @@ def decompose_xyz(a: Angles3) -> GateSequence:
     )
 
 
-# native gates before and after the two-CX core, per conjugation tag
+def _sandwich(kind: str | None, sign: float) -> GateSequence:
+    if kind is None:
+        return ()
+    return tuple(NativeGate(kind, (q,), sign * math.pi / 2) for q in (0, 1))
+
+
+# native gates before (U^dag) and after (U) the two-CX core, per conjugation tag
 SANDWICH = {
-    "none": ((), ()),
-    "u1": (
-        (NativeGate("rz", (0,), -math.pi / 2), NativeGate("rz", (1,), -math.pi / 2)),
-        (NativeGate("rz", (0,), math.pi / 2), NativeGate("rz", (1,), math.pi / 2)),
-    ),
-    "u2": (
-        (NativeGate("rx", (0,), -math.pi / 2), NativeGate("rx", (1,), -math.pi / 2)),
-        (NativeGate("rx", (0,), math.pi / 2), NativeGate("rx", (1,), math.pi / 2)),
-    ),
+    tag: (_sandwich(kind, -1.0), _sandwich(kind, 1.0))
+    for tag, kind in _CONJUGATOR_KIND.items()
 }
 
 

@@ -15,6 +15,10 @@ from typing import NamedTuple
 # couplings, angles and R-gate parameters at or below this magnitude are absent
 ZERO_TOL = 1e-12
 
+# largest |angle| in rad that the tool reads, as a QASM rotation angle; beyond
+# it a float keeps too little precision for the 1e-9 checks of the bridge solver
+MAX_ANGLE = 1e6
+
 
 class HamiltonianClass(Enum):
     """Which subset of {XX, YY, ZZ} couplings is active."""
@@ -145,7 +149,18 @@ def classify(j: CouplingParams) -> HamiltonianClass:
 
 
 def step_angles(j: CouplingParams, dt: float) -> Angles3:
-    """Per-step rotation angles theta_alpha = J_alpha * dt (hbar = 1)."""
+    """Per-step rotation angles theta_alpha = J_alpha * dt (hbar = 1).
+
+    The native circuits rotate by 2 theta, so |theta| must stay within
+    MAX_ANGLE / 2 for the emitted QASM to read back.
+    """
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
-    return Angles3(j.jx * dt, j.jy * dt, j.jz * dt)
+    angles = Angles3(j.jx * dt, j.jy * dt, j.jz * dt)
+    for axis, theta in zip("xyz", angles.as_tuple()):
+        if abs(theta) > MAX_ANGLE / 2:
+            raise ValueError(
+                f"step angle J.{axis}*dt = {theta!r} is beyond ±{MAX_ANGLE / 2:g} rad: its "
+                f"native rotations, twice that, would exceed the ±{MAX_ANGLE:g} rad angle bound"
+            )
+    return angles

@@ -1,7 +1,11 @@
 """Circuit containers, Trotter construction, native expansion, QASM."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import (
@@ -17,7 +21,7 @@ from spinchain.circuit_ir import (
     unitary_of,
 )
 from spinchain.propagators import NativeGate, RGateParams
-from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan, step_angles
+from spinchain.spin_model import MAX_ANGLE, Angles3, CouplingParams, TrotterPlan, step_angles
 
 TRIALS = 60
 TOL = 1e-12
@@ -139,6 +143,69 @@ def test_unitary_of_matches_kron_oracle():
         assert np.max(np.abs(unitary_of(c) - circuit_unitary_oracle(c))) < TOL
 
 
+def native_gate_oracle(g, n):
+    # the gate embedded in 2^n dimensions by kron products (1q) or a basis
+    # permutation (cx), qubit 0 as leftmost factor
+    if g.kind == "cx":
+        control, target = (n - 1 - q for q in g.qubits)
+        perm = [b ^ (1 << target) if b >> control & 1 else b for b in range(2 ** n)]
+        return np.eye(2 ** n, dtype=complex)[perm]
+    if g.kind == "rx":
+        local = math.cos(g.angle / 2) * np.eye(2) - 1j * math.sin(g.angle / 2) * SX
+    elif g.kind == "rz":
+        local = np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
+    elif g.kind == "h":
+        local = (SX + SZ) / math.sqrt(2)
+    else:
+        local = np.diag([1, 1j])
+    q = g.qubits[0]
+    return np.kron(np.eye(2 ** q), np.kron(local, np.eye(2 ** (n - q - 1))))
+
+
+def native_unitary_oracle(c):
+    u = np.eye(2 ** c.num_qubits, dtype=complex)
+    for g in c.gates:
+        u = native_gate_oracle(g, c.num_qubits) @ u
+    return u
+
+
+@st.composite
+def native_circuits(draw):
+    n = draw(st.integers(1, 5))
+    kinds = ["rx", "rz", "h", "s"] + (["cx"] * 2 if n > 1 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cx":
+            p = draw(st.integers(0, n - 2))
+            gates.append(NativeGate("cx", draw(st.sampled_from([(p, p + 1), (p + 1, p)]))))
+        else:
+            angle = draw(st.floats(-7.0, 7.0)) if kind in ("rx", "rz") else None
+            gates.append(NativeGate(kind, (draw(st.integers(0, n - 1)),), angle))
+    return NativeCircuit(n, tuple(gates))
+
+
+@given(native_circuits())
+@example(NativeCircuit(1, ()))
+@example(NativeCircuit(1, (NativeGate("h", (0,)), NativeGate("rz", (0,), 0.3), NativeGate("s", (0,)))))
+@example(
+    # blocks on pairs 0 and 1 interleave, reversed cx on the last qubit
+    NativeCircuit(3, (
+        NativeGate("rx", (0,), 0.4),
+        NativeGate("cx", (0, 1)),
+        NativeGate("rz", (1,), -1.1),
+        NativeGate("cx", (2, 1)),
+        NativeGate("h", (2,)),
+        NativeGate("cx", (1, 0)),
+        NativeGate("s", (1,)),
+        NativeGate("cx", (1, 2)),
+        NativeGate("rx", (0,), 2.5),
+    ))
+)
+def test_unitary_of_native_matches_kron_oracle(c):
+    assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+
+
 def test_to_native_preserves_unitary():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(TRIALS // 2):
@@ -220,6 +287,18 @@ def test_from_qasm_error_positions():
         from_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0]\n')
     with pytest.raises(QasmParseError):
         from_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[7];\n')
+
+
+def test_from_qasm_bounds_angles():
+    base = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[1];\n'
+    for text in (repr(MAX_ANGLE), f"-{MAX_ANGLE!r}"):
+        assert abs(from_qasm(base + f"rx({text}) q[0];\n").gates[-1].angle) == MAX_ANGLE
+    above = math.nextafter(MAX_ANGLE, math.inf)
+    for text in (repr(above), f"-{above!r}", "1e300"):
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(base + f"h q[0]; rz({text}) q[1];\n")
+        assert (err.value.line, err.value.column) == (5, 9)
+        assert text in str(err.value)
 
 
 def test_from_qasm_rejects_non_unitary_statements():

@@ -1,6 +1,7 @@
 """Command-line workflows: evolve, compress, verify, and diagnostics."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
 from spinchain.propagators import RGateParams
-from spinchain.spin_model import CouplingParams, TrotterPlan
+from spinchain.spin_model import MAX_ANGLE, CouplingParams, TrotterPlan
 
 BASE_CONFIG = {
     "J": {"x": -0.8, "y": -0.2, "z": 0.0},
@@ -383,6 +384,37 @@ def test_errors_exit_2(tmp_path, capsys):
     bad.write_text("OPENQASM 2.0;\nqreg q[2];\nfancy q[0];\n", encoding="utf-8")
     assert main(["verify", str(bad), str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_angles_beyond_the_bound_exit_2(tmp_path, capsys):
+    # a step angle of 1e9 rad carries no precision: exit 2 before any solve or output
+    cfg = write_config(tmp_path, J={"x": 1e10, "z": 0.7}, spins=4, t_final=0.4, dt=0.1)
+    for argv in (["compress", "--config", str(cfg)], ["evolve", "--config", str(cfg), "--mode", "trotter"]):
+        assert main([*argv, "--qasm-out", str(tmp_path / "out.qasm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "J.x*dt = 1000000000.0" in captured.err
+    assert not (tmp_path / "out.qasm").exists()
+    qasm = tmp_path / "big.qasm"
+    qasm.write_text(
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nrx({math.nextafter(MAX_ANGLE, 2e6)!r}) q[0];\n',
+        encoding="utf-8",
+    )
+    assert main(["verify", str(qasm), str(qasm)]) == 2
+    assert "line 4, column 1" in capsys.readouterr().err
+
+
+def test_angles_at_the_bound_round_trip(tmp_path, capsys):
+    # step angle MAX_ANGLE / 2 emits native rotations of MAX_ANGLE, which read back
+    cfg = write_config(tmp_path, J={"x": MAX_ANGLE, "z": 0.7}, spins=4, t_final=2.0, dt=0.5)
+    trotter, shallow = tmp_path / "trotter.qasm", tmp_path / "shallow.qasm"
+    assert main(["evolve", "--config", str(cfg), "--mode", "trotter", "--out", str(tmp_path / "t.csv"),
+                 "--qasm-out", str(trotter)]) == 0
+    assert f"rx({-MAX_ANGLE:.17g})" in trotter.read_text(encoding="utf-8")
+    assert main(["compress", str(trotter), "--qasm-out", str(shallow)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(shallow), str(trotter)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from spinchain.spin_model import (
+    MAX_ANGLE,
     Angles3,
     CouplingParams,
     HamiltonianClass,
@@ -52,6 +53,16 @@ def test_step_angles_scales_couplings():
     a = step_angles(j, 0.025)
     assert a == Angles3(-0.8 * 0.025, -0.2 * 0.025, 0.3 * 0.025)
     assert a.as_tuple() == (a.theta_x, a.theta_y, a.theta_z)
+
+
+def test_step_angles_bound():
+    # native rotations are twice the step angle and must stay within MAX_ANGLE
+    edge = MAX_ANGLE / 2
+    assert step_angles(CouplingParams(edge, 0.0, -edge), 1.0).as_tuple() == (edge, 0.0, -edge)
+    above = math.nextafter(edge, math.inf)
+    for axis, j in (("x", (above, 0.0, 0.0)), ("y", (0.0, -above, 0.0)), ("z", (0.0, 0.0, above))):
+        with pytest.raises(ValueError, match=f"J.{axis}\\*dt = -?{above!r}.*{edge:g}"):
+            step_angles(CouplingParams(*j), 1.0)
 
 
 def test_coupling_params_reject_nonfinite():
