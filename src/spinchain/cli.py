@@ -18,25 +18,19 @@ from .circuit_ir import (
     to_qasm,
     unitary_of,
 )
-from .compressor import (
-    ResidualBudgetError,
-    UnsupportedClassError,
-    absorb_layer,
-    compress,
-    empty_block,
-    pad_to_template,
-)
+from .compressor import ResidualBudgetError, UnsupportedClassError, compress
 from .simulator import (
     NoiseModel,
     ObservableSeries,
     basis_state,
+    compressed_steps,
     neel_state,
     run_dynamics,
     run_noisy,
     run_noisy_series,
     staggered_magnetization,
 )
-from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, classify
+from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, step_angles
 from .ybe import UnsolvedError
 
 MODES = ("exact", "trotter", "compressed", "all")
@@ -154,6 +148,10 @@ def load_config(path: Path) -> JobConfig:
             f"job too large: t_final/dt = {steps:.6g} steps x {spins - 1} pairs exceeds "
             f"{MAX_PAIR_GATES} pair gates"
         )
+    try:
+        step_angles(j, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return JobConfig(j, spins, t_final, dt, init, noise, mode)
 
 
@@ -174,15 +172,13 @@ def _suffixed(out: Path, tag: str) -> Path:
 
 
 def _noisy_rows(cfg: JobConfig, plan: TrotterPlan, mode: str, noise: NoiseModel, init):
-    step = build_trotter_circuit(cfg.spins, cfg.j, TrotterPlan(plan.dt, plan.dt))
     if mode == "trotter":
+        step = build_trotter_circuit(cfg.spins, cfg.j, TrotterPlan(plan.dt, plan.dt))
         return run_noisy_series(step, plan.num_steps, noise, init_state=init)
     init_vec = neel_state(cfg.spins) if init is None else init
-    block = empty_block(cfg.spins, classify(cfg.j))
     rows = [(staggered_magnetization(init_vec), 0.0)]
-    for _ in range(plan.num_steps):
-        block = absorb_layer(block, list(step.gates))
-        rows.append(run_noisy(pad_to_template(block).circuit, noise, init_state=init))
+    for circuit in compressed_steps(cfg.spins, cfg.j, plan):
+        rows.append(run_noisy(circuit, noise, init_state=init))
     return rows
 
 

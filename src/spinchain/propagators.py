@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import ZERO_TOL, Angles3, CouplingParams, HamiltonianClass, classify
+from .spin_model import Angles3, CouplingParams, HamiltonianClass, classify
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -112,24 +112,6 @@ def native_gate_matrix(gate: NativeGate) -> np.ndarray:
     if gate.kind == "s":
         return S_MATRIX
     return CX_MATRIX
-
-
-def pauli_pair_exponential(axis: str, theta: float) -> np.ndarray:
-    """exp(i theta sigma_axis x sigma_axis) on two qubits, in closed form."""
-    c = math.cos(theta)
-    s = 1j * math.sin(theta)
-    if axis == "x":
-        return np.array(
-            [[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]], dtype=complex
-        )
-    if axis == "y":
-        return np.array(
-            [[c, 0, 0, -s], [0, c, s, 0], [0, s, c, 0], [-s, 0, 0, c]], dtype=complex
-        )
-    if axis == "z":
-        e_plus, e_minus = np.exp(1j * theta), np.exp(-1j * theta)
-        return np.diag([e_plus, e_minus, e_minus, e_plus]).astype(complex)
-    raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
 
 
 def xyz_propagator(a: Angles3) -> np.ndarray:
@@ -243,18 +225,6 @@ def r_gate_sequence(p: RGateParams, tag: str) -> GateSequence:
     cx = NativeGate("cx", (0, 1))
     before, after = SANDWICH[tag]
     return (*before, cx, *(core or [NativeGate("rx", (0,), 0.0)]), cx, *after)
-
-
-def special_case_sequence(klass: HamiltonianClass, p: RGateParams) -> GateSequence:
-    """Two-CX native circuit for one class propagator, conjugated by the
-    class's tag. Single-axis classes require the unused parameter to be zero.
-    """
-    family = klass.family
-    fed = (("gamma", family.gamma_axis, p.gamma), ("delta", family.delta_axis, p.delta))
-    for name, axis, value in fed:
-        if not axis and abs(value) > ZERO_TOL:
-            raise ValueError(f"class {klass.value} requires {name} = 0, got {value!r}")
-    return r_gate_sequence(p, family.conjugation)
 
 
 def sequence_unitary(seq: GateSequence) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Dense reference dynamics: Hamiltonian builder, exact propagator,
-statevector circuit execution, staggered magnetization, and a seeded
+"""Dense reference dynamics: Hamiltonian builder, statevector circuit
+execution, staggered magnetization, the compressed-step stream, and a seeded
 depolarizing Monte Carlo."""
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,10 @@ _PAIR_ERRORS = tuple(
 
 _NOISE_CHUNK = 1024
 
+# ceiling on the uniform draws held at once by a chunk of noisy shots; a
+# chunk draws its steps in blocks that fit
+_DRAW_BYTES = 1 << 26
+
 
 def _check_size(n: int) -> None:
     if not 2 <= n <= MAX_DENSE_QUBITS:
@@ -61,16 +67,6 @@ def build_hamiltonian(n: int, j: CouplingParams) -> np.ndarray:
         np.add.at(h, (b ^ mask, b), -j.jx + j.jy * sign)
         np.add.at(h, (b, b), -j.jz * sign)
     return h
-
-
-def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} via Hermitian eigendecomposition."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-    if h.shape[0] > 1 << MAX_DENSE_QUBITS:
-        raise ValueError(f"dimension {h.shape[0]} exceeds the dense size guard")
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def basis_state(n: int, bits: str) -> np.ndarray:
@@ -113,22 +109,32 @@ def apply_circuit(state: np.ndarray, c: Circuit | NativeCircuit) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _staggered_weights(n: int) -> np.ndarray:
     b = np.arange(1 << n)
     w = np.zeros(1 << n)
     for i in range(n):
         bit = (b >> (n - 1 - i)) & 1
         w += (-1.0) ** i * (1.0 - 2.0 * bit)
-    return w / n
+    w /= n
+    w.flags.writeable = False
+    return w
 
 
-def staggered_magnetization(state: np.ndarray) -> float:
-    """m_s = (1/N) sum_i (-1)^i <sigma_z at site i>; +1 on the Neel state."""
-    dim = state.shape[0]
+def staggered_magnetization(states: np.ndarray) -> float | np.ndarray:
+    """m_s = (1/N) sum_i (-1)^i <sigma_z at site i>; +1 on the Neel state.
+
+    states is one statevector, giving a float, or a (2^N, shots) block with
+    one state per column, giving one value per column.
+    """
+    dim = states.shape[0]
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise ValueError(f"state dimension {dim} is not a power of two")
-    return float(_staggered_weights(n) @ np.abs(state) ** 2)
+    # a dot product per contiguous row of |amplitude|^2: each value rounds
+    # exactly as for a lone statevector, which w @ probs would not
+    values = np.vecdot(np.abs(np.ascontiguousarray(states.T)) ** 2, _staggered_weights(n))
+    return float(values) if states.ndim == 1 else values
 
 
 @dataclass(frozen=True)
@@ -203,20 +209,29 @@ def _trotter_series(n, j, plan, init):
     return out
 
 
-def _compressed_series(n, j, plan, init):
+def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[Circuit]:
+    """The compressed circuit after each of plan's steps, step 1 first.
+
+    Step k's Trotter layer is absorbed into the block of step k - 1, and the
+    block is padded with identity gates to the full template. Raises
+    UnsupportedClassError for three-axis couplings.
+    """
     klass = classify(j)
     if klass is HamiltonianClass.XYZ:
         raise UnsupportedClassError(
             "three-axis couplings are outside the compressible families"
         )
-    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+    layer = list(build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt)).gates)
     block = empty_block(n, klass)
-    out = [staggered_magnetization(init)]
     for _ in range(plan.num_steps):
-        block = absorb_layer(block, list(step.gates))
-        padded = pad_to_template(block)
-        state = apply_circuit(init, padded.circuit)
-        out.append(staggered_magnetization(state))
+        block = absorb_layer(block, layer)
+        yield pad_to_template(block).circuit
+
+
+def _compressed_series(n, j, plan, init):
+    out = [staggered_magnetization(init)]
+    for circuit in compressed_steps(n, j, plan):
+        out.append(staggered_magnetization(apply_circuit(init, circuit)))
     return out
 
 
@@ -251,30 +266,32 @@ def _noisy_trajectory(
     num_steps: int,
     noise: NoiseModel,
     init: np.ndarray,
-    observable,
 ) -> np.ndarray:
-    """Repeat the step circuit num_steps times; observable per shot per step.
+    """Repeat the step circuit num_steps times; m_s per shot per step.
 
     Returns shape (num_steps + 1, shots), row 0 for the initial state. Shot s
     consumes exactly the (num_steps * len(gates), 2) uniform block of
-    default_rng(seed + s), so results are independent of chunked batching.
+    default_rng(seed + s), so results are independent of chunked batching
+    over shots and over steps.
     """
     n = native.num_qubits
     gates = [(g, native_gate_matrix(g)) for g in native.gates]
-    total = num_steps * len(gates)
     values = np.empty((num_steps + 1, noise.shots))
     for base in range(0, noise.shots, _NOISE_CHUNK):
         count = min(_NOISE_CHUNK, noise.shots - base)
-        draws = np.empty((count, total, 2))
-        for s in range(count):
-            draws[s] = np.random.default_rng(noise.seed + base + s).random((total, 2))
+        rngs = [np.random.default_rng(noise.seed + base + s) for s in range(count)]
+        block_steps = max(1, _DRAW_BYTES // (count * max(1, len(gates)) * 2 * 8))
         states = np.repeat(init[:, None], count, axis=1)
-        for s in range(count):
-            values[0, base + s] = observable(states[:, s])
+        values[0, base : base + count] = staggered_magnetization(states)
         for step in range(num_steps):
+            if step % block_steps == 0:
+                size = min(block_steps, num_steps - step) * len(gates)
+                draws = np.empty((count, size, 2))
+                for s, rng in enumerate(rngs):
+                    draws[s] = rng.random((size, 2))
             for gi, (g, mat) in enumerate(gates):
                 states = _dense.apply_gate(states, mat, g.qubits, n)
-                di = step * len(gates) + gi
+                di = step % block_steps * len(gates) + gi
                 p = noise.p2 if g.kind == "cx" else noise.p1
                 if p <= 0.0:
                     continue
@@ -291,8 +308,7 @@ def _noisy_trajectory(
                         states[:, cols] = _dense.apply_gate(
                             states[:, cols], pauli, g.qubits, n
                         )
-            for s in range(count):
-                values[step + 1, base + s] = observable(states[:, s])
+            values[step + 1, base : base + count] = staggered_magnetization(states)
     return values
 
 
@@ -306,9 +322,8 @@ def run_noisy(
     c: Circuit | NativeCircuit,
     noise: NoiseModel,
     init_state: np.ndarray | None = None,
-    observable=staggered_magnetization,
 ) -> tuple[float, float]:
-    """Monte Carlo observable under depolarizing gate noise: (mean, stderr).
+    """Monte Carlo m_s under depolarizing gate noise: (mean, stderr).
 
     Noise acts on the native-gate expansion, so circuits with fewer native
     gates accumulate fewer error events. Deterministic for fixed seed and
@@ -318,7 +333,7 @@ def run_noisy(
     native = to_native(c) if isinstance(c, Circuit) else c
     n = native.num_qubits
     init = _initial_state(n, init_state)
-    values = _noisy_trajectory(native, 1, noise, init, observable)
+    values = _noisy_trajectory(native, 1, noise, init)
     return _mean_stderr(values[1], noise.shots)
 
 
@@ -327,7 +342,6 @@ def run_noisy_series(
     num_steps: int,
     noise: NoiseModel,
     init_state: np.ndarray | None = None,
-    observable=staggered_magnetization,
 ) -> list[tuple[float, float]]:
     """Noisy trajectory means: repeat the step circuit and record after each step.
 
@@ -340,5 +354,5 @@ def run_noisy_series(
     native = to_native(step) if isinstance(step, Circuit) else step
     n = native.num_qubits
     init = _initial_state(n, init_state)
-    values = _noisy_trajectory(native, num_steps, noise, init, observable)
+    values = _noisy_trajectory(native, num_steps, noise, init)
     return [_mean_stderr(values[k], noise.shots) for k in range(num_steps + 1)]

@@ -299,6 +299,19 @@ def test_compress_output_matches_golden_bytes(family, source, tmp_path, capsys):
     assert qasm_out.read_bytes() == (GOLDEN / f"compress_{family}.qasm").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["evolve_all", "evolve_noisy_trotter", "evolve_noisy_compressed"])
+def test_evolve_output_matches_golden_bytes(name, tmp_path, capsys):
+    # N = 4, mode from the config: all three noiseless CSVs, and the
+    # noiseless plus .noisy CSV of a 64-shot trotter and compressed job
+    assert main(["evolve", "--config", str(GOLDEN / f"{name}.json"),
+                 "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert capsys.readouterr() == ("", "")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.glob(f"{name}.*csv"))
+    for fname in written:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
 def test_compress_keeps_gates_with_angles_near_pi(tmp_path, capsys):
     # J.x * dt sits within 3.1e-5 of -pi; the compressed circuit must still
     # verify against the Trotter circuit from both compress inputs
@@ -402,6 +415,17 @@ def test_angles_beyond_the_bound_exit_2(tmp_path, capsys):
     )
     assert main(["verify", str(qasm), str(qasm)]) == 2
     assert "line 4, column 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter", "compressed", "all"])
+def test_angles_beyond_the_bound_exit_2_in_every_mode(mode, tmp_path, capsys):
+    # the exact engine builds no circuit, so the bound is checked on the config
+    cfg = write_config(tmp_path, J={"x": 1e300, "z": 0.7}, spins=3, t_final=0.4, dt=0.1, mode=mode)
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "J.x*dt = 1e+299" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
 def test_angles_at_the_bound_round_trip(tmp_path, capsys):

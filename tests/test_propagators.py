@@ -20,12 +20,11 @@ from spinchain.propagators import (
     decompose_xyz,
     from_angles3,
     native_gate_matrix,
-    pauli_pair_exponential,
+    r_gate_sequence,
     r_matrix,
     rx_matrix,
     rz_matrix,
     sequence_unitary,
-    special_case_sequence,
     xyz_propagator,
 )
 from spinchain.spin_model import Angles3, HamiltonianClass
@@ -85,14 +84,6 @@ def test_native_gate_matrix_dispatch():
     assert np.allclose(native_gate_matrix(NativeGate("cx", (1, 0))), CX_MATRIX)
     u = sequence_unitary((NativeGate("cx", (1, 0)),))
     assert np.allclose(u, CX_REVERSED_MATRIX)
-
-
-def test_pauli_pair_exponential_matches_oracle():
-    rng = np.random.default_rng(SEED)
-    for _ in range(TRIALS):
-        axis = rng.choice(["x", "y", "z"])
-        theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        assert np.max(np.abs(pauli_pair_exponential(axis, theta) - pair_exp_oracle(axis, theta))) < TOL
 
 
 def test_xyz_propagator_matches_eigh_oracle():
@@ -195,19 +186,18 @@ def test_special_case_sequences_match_conjugated_r():
             elif klass is HamiltonianClass.Z:
                 gamma = 0.0
             p = RGateParams(gamma, delta)
-            seq = special_case_sequence(klass, p)
+            seq = r_gate_sequence(p, tag)
             assert sum(1 for g in seq if g.kind == "cx") <= 2
             assert phase_distance(sequence_unitary(seq), conjugated_r_matrix(p, tag)) < PHASE_TOL
 
 
 def test_special_case_sequence_rejects_three_axis_class():
+    # the three-axis class has no R(gamma, delta) family, so no special-case sequence
     with pytest.raises(ValueError):
         HamiltonianClass.XYZ.family
-    with pytest.raises(ValueError):
-        special_case_sequence(HamiltonianClass.XYZ, RGateParams(0.1, 0.2))
 
 
 def test_zero_angle_gates_reduce_to_identity_phase():
     for klass in (HamiltonianClass.X, HamiltonianClass.Z, HamiltonianClass.XY):
-        seq = special_case_sequence(klass, RGateParams(0.0, 0.0))
+        seq = r_gate_sequence(RGateParams(0.0, 0.0), klass.family.conjugation)
         assert phase_distance(sequence_unitary(seq), np.eye(4)) < PHASE_TOL

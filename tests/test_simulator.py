@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinchain import simulator
 from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, to_native, unitary_of
 from spinchain.compressor import UnsupportedClassError
 from spinchain.simulator import (
@@ -12,7 +13,6 @@ from spinchain.simulator import (
     apply_circuit,
     basis_state,
     build_hamiltonian,
-    exact_propagator,
     neel_state,
     run_dynamics,
     run_noisy,
@@ -60,16 +60,6 @@ def test_build_hamiltonian_two_site_zz():
     assert np.allclose(h, -np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
-def test_exact_propagator_matches_expm():
-    rng = np.random.default_rng(SEED + 1)
-    for _ in range(TRIALS // 2):
-        n = int(rng.integers(2, 5))
-        j = CouplingParams(*rng.uniform(-1.0, 1.0, 3))
-        t = rng.uniform(0.1, 2.0)
-        h = build_hamiltonian(n, j)
-        assert np.max(np.abs(exact_propagator(h, t) - expm(-1j * t * h))) < 1e-11
-
-
 def test_basis_state_layout():
     s = basis_state(3, "010")
     # qubit 0 is the most significant bit of the index
@@ -94,6 +84,22 @@ def test_staggered_magnetization_superposition():
     s = (neel_state(2) + basis_state(2, "10")) / np.sqrt(2)
     # |01> gives +1, |10> gives -1; the equal mix averages to 0
     assert staggered_magnetization(s) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_staggered_magnetization_of_a_block_matches_each_column():
+    # a (2^N, shots) block gives, to the last bit, each column's value from
+    # the per-state dot product w @ |psi|^2, also for column-major blocks
+    # such as the noise engine's gate applications leave
+    rng = np.random.default_rng(SEED + 9)
+    for n in (2, 3, 5, 8):
+        w = simulator._staggered_weights(n)
+        block = rng.normal(size=(1 << n, 37)) + 1j * rng.normal(size=(1 << n, 37))
+        block /= np.linalg.norm(block, axis=0)
+        for states in (block, np.asfortranarray(block)):
+            values = staggered_magnetization(states)
+            assert values.shape == (37,)
+            assert values.tolist() == [float(w @ np.abs(states[:, s]) ** 2) for s in range(37)]
+            assert staggered_magnetization(states[:, 0]) == values[0]
 
 
 def test_apply_circuit_equals_dense_unitary():
@@ -216,6 +222,19 @@ def test_run_noisy_series_final_row_matches_unrolled():
 
     unrolled = NativeCircuit(n, native.gates * steps)
     assert series[-1] == run_noisy(unrolled, noise)
+
+
+def test_run_noisy_series_draws_in_step_blocks(monkeypatch):
+    # a draw ceiling below one step's draws forces a block per step, and a
+    # ceiling of a few steps' draws leaves a ragged last block; the uniform
+    # stream of each shot, hence every row, must not change
+    step = build_trotter_circuit(3, CouplingParams(0.6, -0.4, 0.0), TrotterPlan(0.1, 0.1))
+    noise = NoiseModel(0.05, 0.1, 40, 3)
+    whole = run_noisy_series(step, 7, noise)
+    natives = len(to_native(step).gates)
+    for draw_bytes in (1, 3 * 40 * natives * 2 * 8):
+        monkeypatch.setattr(simulator, "_DRAW_BYTES", draw_bytes)
+        assert run_noisy_series(step, 7, noise) == whole
 
 
 def test_heavy_depolarizing_noise_scrambles_to_zero():
