@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .circuit_ir import Circuit, PairGate, columnize
 from .propagators import Angles3, RGateParams
@@ -122,85 +123,78 @@ def merge(a: PairGate, b: PairGate) -> PairGate:
 
 
 class _WordEngine:
-    """Mutable word-and-permutation state behind absorb/emit."""
+    """Mutable word-and-permutation state of one block, rewritten in place."""
 
-    def __init__(self, n: int, base_residual: float = 0.0) -> None:
-        self.n = n
-        self.perm = list(range(n))
-        self.word: list[list[float]] = []
-        self.residual = base_residual
+    def __init__(self, block: CompressedBlock) -> None:
+        self.perm = list(range(block.num_qubits))
+        self.word: list[list] = []
+        self.residual = block.residual
         self.moves = 0
-
-    def load(self, word: list[list[float]]) -> None:
-        for letter in word:
-            j = int(letter[0])
-            if self.perm[j] >= self.perm[j + 1]:
+        for g in (block.circuit.gates[i] for s in block.slots for i in s):
+            if not self._ascend(g.pair, g.params.gamma, g.params.delta):
                 raise ValueError("block word is not reduced; cannot reload")
-            self.perm[j], self.perm[j + 1] = self.perm[j + 1], self.perm[j]
-        self.word = [list(letter) for letter in word]
 
-    def _solve(self, trip: tuple) -> tuple:
-        sol = solve(YbeTriple.from_angles(trip))
+    def _ascend(self, j: int, gamma: float, delta: float) -> bool:
+        if self.perm[j] > self.perm[j + 1]:
+            return False
+        self.perm[j], self.perm[j + 1] = self.perm[j + 1], self.perm[j]
+        self.word.append([j, gamma, delta])
+        return True
+
+    def _braid(self, q: int) -> None:
+        # time-ordered letters f@j, h@i, g@j at q-2..q with |i-j| = 1 become
+        # a@i, b@j, c@i; the mirrored output triple solves both layout
+        # orientations, so one solver direction covers j < i and j > i alike
+        w = self.word
+        f, h, g = w[q - 2], w[q - 1], w[q]
+        sol = solve(YbeTriple.from_angles(((g[1], g[2]), (h[1], h[2]), (f[1], f[2]))))
         self.residual += sol.residual
         self.moves += 1
         if self.residual > RESIDUAL_BUDGET:
             raise ResidualBudgetError(
                 f"accumulated residual {self.residual:.3e} exceeds {RESIDUAL_BUDGET:g}"
             )
-        return sol.triple.angles()
+        r = sol.triple.angles()
+        w[q - 2], w[q - 1], w[q] = [h[0], *r[2]], [f[0], *r[1]], [h[0], *r[0]]
 
-    def _braid(self, f: list, h: list, g: list) -> tuple[list, list, list]:
-        # time-ordered letters f@j, h@i, g@j with |i-j| = 1 become a@i, b@j, c@i;
-        # the mirrored output triple solves both layout orientations, so one
-        # solver direction covers j < i and j > i alike
-        j, i = int(f[0]), int(h[0])
-        r = self._solve(((g[1], g[2]), (h[1], h[2]), (f[1], f[2])))
-        return (
-            [i, r[2][0], r[2][1]],
-            [j, r[1][0], r[1][1]],
-            [i, r[0][0], r[0][1]],
-        )
-
-    def _mew(self, w: list, i: int) -> list:
-        # rewrite reduced word w to end with a letter on pair i;
-        # precondition: swapping (i, i+1) shortens perm(w)
-        j = int(w[-1][0])
-        if j == i:
-            return w
-        if abs(i - j) >= 2:
-            v = self._mew(w[:-1], i)
-            return v[:-1] + [w[-1], v[-1]]
-        v = self._mew(w[:-1], i)
-        u = self._mew(v[:-1], j)
-        a, b, c = self._braid(u[-1], v[-1], w[-1])
-        return u[:-1] + [a, b, c]
+    def _mew(self, end: int, i: int) -> None:
+        # rewrite word[:end] in place to end on pair i; precondition: after
+        # word[:end] the strands at i, i+1 are x > y, so they have crossed.
+        # Letters that commute with pair i are stepped over; only a letter on
+        # a neighbouring pair recurses, crossing y with some d < y (or x with
+        # some e > x). Its two calls target (x, d) in word[:q-1] and (x, y) in
+        # word[:q-2], where d has crossed neither x nor y, so no strand joins
+        # a chain of nested calls twice: the depth stays below N.
+        w = self.word
+        q = end
+        while abs(w[q - 1][0] - i) >= 2:
+            q -= 1
+        j = w[q - 1][0]
+        if j != i:
+            self._mew(q - 1, i)
+            self._mew(q - 2, j)
+            self._braid(q - 1)
+        if q != end:
+            w.insert(end - 1, w.pop(q - 1))
 
     def absorb(self, j: int, gamma: float, delta: float) -> None:
-        if self.perm[j] < self.perm[j + 1]:
-            self.perm[j], self.perm[j + 1] = self.perm[j + 1], self.perm[j]
-            self.word.append([j, gamma, delta])
-            return
-        self.word = self._mew(self.word, j)
-        self.word[-1][1] += gamma
-        self.word[-1][2] += delta
+        if not self._ascend(j, gamma, delta):
+            self._mew(len(self.word), j)
+            self.word[-1][1] += gamma
+            self.word[-1][2] += delta
 
     def emit(self) -> list[list[list[float]]]:
-        """Rebuild the word right-to-left into the alternating-slot template."""
-        slots = _peel_template(self.perm, self.n)
+        """Respell the word right-to-left into the alternating-slot template."""
+        slots = _peel_template(self.perm, len(self.perm))
         if slots is None:
             raise RuntimeError(f"template peel failed for permutation {self.perm}")
-        out: list[list[list[float]]] = [[] for _ in range(self.n)]
-        w = list(self.word)
-        for k in range(self.n - 1, -1, -1):
-            for j in slots[k]:
-                w = self._mew(w, j)
-                letter = w.pop()
-                out[k].insert(
-                    0, [j, float(wrap_angle(letter[1])), float(wrap_angle(letter[2]))]
-                )
-        if w:
+        order = [j for s in slots for j in reversed(s)]
+        if len(order) != len(self.word):
             raise RuntimeError("emission left letters behind")
-        return out
+        for end in range(len(order), 0, -1):
+            self._mew(end, order[end - 1])
+        letters = ([j, float(wrap_angle(g)), float(wrap_angle(d))] for j, g, d in self.word)
+        return [list(islice(letters, len(s))) for s in slots]
 
 
 def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
@@ -257,23 +251,13 @@ def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> Compres
     return _block_from_slots(n, [[] for _ in range(n)], klass, 0.0, 0)
 
 
-def _engine_for(block: CompressedBlock) -> _WordEngine:
-    eng = _WordEngine(block.num_qubits, base_residual=block.residual)
-    word = [
-        [g.pair, g.params.gamma, g.params.delta]
-        for g in (block.circuit.gates[i] for s in block.slots for i in s)
-    ]
-    eng.load(word)
-    return eng
-
-
 def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlock:
     """Fold one alternating layer of gates into the block.
 
     layer is a time-ordered gate list sharing the block's class; the result
     is re-emitted onto the template, so size bounds hold after every call.
     """
-    eng = _engine_for(block)
+    eng = _WordEngine(block)
     for g in layer:
         eng.absorb(g.pair, *_r_form_gate(g, block.klass))
     return _block_from_slots(

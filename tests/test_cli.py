@@ -254,6 +254,25 @@ def test_compress_from_qasm_round_trip(tmp_path, capsys):
     assert phase_distance(unitary_of(shallow), unitary_of(circuit)) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "spins, t_final, stats",
+    [
+        # one step on a long chain: template emission walks a 1999-letter word
+        pytest.param(2000, 1, {"gates_after": 1999, "layers": 1, "ybe_moves": 0}, id="emit"),
+        # the first step past N/2 merges gates into the full 1035-letter word
+        pytest.param(46, 24, {"gates_after": 1035}, id="absorb"),
+    ],
+)
+def test_compress_long_words_exit_0(spins, t_final, stats, tmp_path, capsys):
+    # word rewrites recurse per neighbouring-pair level, not per letter, so
+    # words far longer than the interpreter's recursion limit still compress
+    cfg = write_config(tmp_path, spins=spins, J={"x": -0.8, "y": -0.2}, t_final=t_final, dt=1)
+    assert main(["compress", "--config", str(cfg), "--qasm-out", str(tmp_path / "o.qasm")]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert stats.items() <= json.loads(out).items()
+
+
 def test_compress_requires_exactly_one_input(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["compress", "--qasm-out", str(tmp_path / "o.qasm")]) == 2

@@ -1,10 +1,22 @@
 """Merge and braid rewrites, layer absorption, fixed-depth blocks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchain._dense import phase_distance
-from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, unitary_of
+from spinchain.circuit_ir import (
+    Circuit,
+    PairGate,
+    build_trotter_circuit,
+    from_qasm,
+    recognize_pair_circuit,
+    to_qasm,
+    unitary_of,
+)
 from spinchain.compressor import (
     CompressedBlock,
     UnsupportedClassError,
@@ -14,7 +26,7 @@ from spinchain.compressor import (
     merge,
     pad_to_template,
 )
-from spinchain.propagators import RGateParams
+from spinchain.propagators import RGateParams, from_angles3
 from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
 
 TRIALS = 100
@@ -192,3 +204,55 @@ def test_compressed_block_validation():
             block.ybe_moves,
             block.slots,
         )
+
+
+SPECIAL_ANGLES = (
+    0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+    1e-13, -1e-13, 1e-9, 3.0,
+)
+ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi))
+FAMILIES = [k for k in HamiltonianClass if k is not HamiltonianClass.XYZ]
+
+
+@st.composite
+def family_circuits(draw):
+    # gates of one coupling family in any pair order, as Angles3 or as
+    # RGateParams carrying the family's conjugation tag
+    n = draw(st.integers(2, 6))
+    klass = draw(st.sampled_from(FAMILIES))
+    tagged = draw(st.booleans())
+    family = klass.family
+    gates = []
+    for pair in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=30)):
+        a = Angles3(*(draw(ANGLES) if axis in klass.axes else 0.0 for axis in "xyz"))
+        if tagged:
+            gates.append(PairGate(pair, RGateParams(*family.r_params(a)), family.conjugation))
+        else:
+            gates.append(PairGate(pair, a))
+    return Circuit(n, tuple(gates))
+
+
+@given(family_circuits())
+def test_compress_property(c):
+    n = c.num_qubits
+    block = compress(c)
+    assert phase_distance(unitary_of(block.circuit), unitary_of(c)) < PHASE_TOL
+    assert block.gate_count <= min(max_gate_count(n), len(c.gates))
+    assert block.alternating_layers <= n
+    recognized = recognize_pair_circuit(from_qasm(to_qasm(c)))
+    tags = {
+        from_angles3(g.params)[1] if isinstance(g.params, Angles3) else g.conjugation
+        for g in c.gates
+    }
+    if len(tags) > 1:
+        # QASM emission tags each Angles3 gate by its own nonzero axes, so a
+        # gate that leaves out a family axis comes back under another tag
+        with pytest.raises(UnsupportedClassError):
+            compress(recognized)
+        return
+    # the QASM path compresses to the same shape; an input -0.0 comes back as
+    # +0.0 and may steer a solve to another branch, so compare unitaries, not bits
+    again = compress(recognized)
+    assert again.gate_count == block.gate_count
+    assert again.alternating_layers == block.alternating_layers
+    assert phase_distance(unitary_of(again.circuit), unitary_of(block.circuit)) < PHASE_TOL
