@@ -1,10 +1,10 @@
-"""Circuit IR: adjacent-pair gates on a chain, columns, dense oracle, QASM I/O."""
+"""Circuit IR: adjacent-pair gates on a chain, dense oracle, QASM I/O."""
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +64,10 @@ class PairGate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered adjacent-pair gates on num_qubits chain sites.
-
-    columns, when present, is a left-packed partition of gate indices such
-    that no two gates in a column share a qubit.
-    """
+    """Ordered adjacent-pair gates on num_qubits chain sites."""
 
     num_qubits: int
     gates: tuple[PairGate, ...]
-    columns: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.num_qubits < 2:
@@ -82,33 +77,6 @@ class Circuit:
                 raise ValueError(
                     f"pair {g.pair} out of range for {self.num_qubits} qubits"
                 )
-        if self.columns is not None:
-            flat = [i for col in self.columns for i in col]
-            if sorted(flat) != list(range(len(self.gates))):
-                raise ValueError("columns must partition the gate list")
-            for col in self.columns:
-                pairs = [self.gates[i].pair for i in col]
-                touched = [q for p in pairs for q in (p, p + 1)]
-                if len(set(touched)) != len(touched):
-                    raise ValueError(f"column {col!r} has overlapping gates")
-
-    @property
-    def is_alternating(self) -> bool:
-        """True when columns alternate between even-pair and odd-pair families."""
-        if self.columns is None:
-            return False
-        parities = [
-            {self.gates[i].pair % 2 for i in col} for col in self.columns if col
-        ]
-        if any(len(par) != 1 for par in parities):
-            return False
-        flat = [next(iter(par)) for par in parities]
-        return all(a != b for a, b in zip(flat, flat[1:]))
-
-    def column_gates(self) -> list[list[PairGate]]:
-        if self.columns is None:
-            raise ValueError("circuit has no column structure; call columnize")
-        return [[self.gates[i] for i in col] for col in self.columns]
 
 
 @dataclass(frozen=True)
@@ -129,37 +97,16 @@ class NativeCircuit:
 
 
 def build_trotter_circuit(n: int, j: CouplingParams, plan: TrotterPlan) -> Circuit:
-    """num_steps repetitions of an even-pair column then an odd-pair column.
+    """num_steps repetitions of the even-pair gates then the odd-pair gates.
 
     Every gate carries the same step angles theta = J * dt. Gate count per
-    step is n - 1; for n = 2 each step is a single one-gate column.
+    step is n - 1.
     """
     if n < 2:
         raise ValueError(f"need at least 2 qubits, got {n}")
     angles = step_angles(j, plan.dt)
-    gates: list[PairGate] = []
-    columns: list[tuple[int, ...]] = []
-    for _ in range(plan.num_steps):
-        for parity in (0, 1):
-            col = []
-            for pair in range(parity, n - 1, 2):
-                col.append(len(gates))
-                gates.append(PairGate(pair, angles))
-            if col:
-                columns.append(tuple(col))
-    return Circuit(n, tuple(gates), tuple(columns))
-
-
-def columnize(c: Circuit) -> Circuit:
-    """Left-packed greedy columns; a stable canonical view of the gate order."""
-    frontier = [0] * c.num_qubits
-    columns: dict[int, list[int]] = {}
-    for idx, g in enumerate(c.gates):
-        depth = max(frontier[g.pair], frontier[g.pair + 1])
-        columns.setdefault(depth, []).append(idx)
-        frontier[g.pair] = frontier[g.pair + 1] = depth + 1
-    packed = tuple(tuple(columns[d]) for d in sorted(columns))
-    return Circuit(c.num_qubits, c.gates, packed)
+    step = tuple(PairGate(pair, angles) for parity in (0, 1) for pair in range(parity, n - 1, 2))
+    return Circuit(n, step * plan.num_steps)
 
 
 def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
@@ -312,7 +259,7 @@ def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
                 "the per-gate blocks produced by the QASM emitter"
             )
         out.append(matched)
-    return columnize(Circuit(native.num_qubits, tuple(out)))
+    return Circuit(native.num_qubits, tuple(out))
 
 
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -370,6 +317,13 @@ def _parse_angle(text: str, line: int, col: int) -> float:
     return -value if neg else value
 
 
+def _index(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int-conversion digit limit
+        raise QasmParseError(line, col, f"index of {len(digits)} digits is too large") from None
+
+
 def from_qasm(text: str) -> NativeCircuit:
     """Parse the QASM subset back to a native circuit.
 
@@ -406,7 +360,7 @@ def from_qasm(text: str) -> NativeCircuit:
                 if num_qubits is not None:
                     raise QasmParseError(lineno, col, "multiple qreg declarations")
                 reg_name = m.group("reg")
-                num_qubits = int(m.group("idx"))
+                num_qubits = _index(m.group("idx"), lineno, col)
                 continue
             m = _QASM_STATEMENT.match(s)
             if not m:
@@ -423,7 +377,7 @@ def from_qasm(text: str) -> NativeCircuit:
                 am = _QASM_ARG.match(arg)
                 if not am or am.group("reg") != reg_name:
                     raise QasmParseError(lineno, col, f"bad operand {arg!r}")
-                idx = int(am.group("idx"))
+                idx = _index(am.group("idx"), lineno, col)
                 if idx >= num_qubits:
                     raise QasmParseError(lineno, col, f"qubit {idx} out of range")
                 qubits.append(idx)

@@ -16,10 +16,10 @@ saturated there). Emission peels the permutation back into template slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
-from .circuit_ir import Circuit, PairGate, columnize
+from .circuit_ir import Circuit, PairGate
 from .propagators import Angles3, RGateParams
 from .spin_model import FAMILY_TABLE, ZERO_TOL, CouplingParams, HamiltonianClass, classify
 from .ybe import YbeTriple, solve, wrap_angle
@@ -39,39 +39,33 @@ class ResidualBudgetError(RuntimeError):
 class CompressedBlock:
     """Alternating-template block equivalent to a deep circuit.
 
-    slots maps each of the N template slots to gate indices of circuit;
-    slot k holds even pairs when k is even, odd pairs otherwise. residual is
-    the summed verified residual of every bridge move behind the block;
-    ybe_moves counts them.
+    slots holds the gates of each of the N template slots; slot k holds even
+    pairs when k is even, odd pairs otherwise, and circuit is the slots read
+    in order. residual is the summed verified residual of every bridge move
+    behind the block; ybe_moves counts them.
     """
 
-    circuit: Circuit
+    slots: tuple[tuple[PairGate, ...], ...]
     klass: HamiltonianClass
     residual: float
     ybe_moves: int
-    slots: tuple[tuple[int, ...], ...]
+    circuit: Circuit = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.circuit.num_qubits
+        n = len(self.slots)
+        gates = tuple(g for slot in self.slots for g in slot)
+        object.__setattr__(self, "circuit", Circuit(n, gates))
         if self.klass is HamiltonianClass.XYZ:
             raise UnsupportedClassError("blocks cannot carry the three-parameter class")
         bound = n * (n - 1) // 2
-        if len(self.circuit.gates) > bound:
-            raise ValueError(
-                f"{len(self.circuit.gates)} gates exceed the {bound}-gate bound"
-            )
+        if len(gates) > bound:
+            raise ValueError(f"{len(gates)} gates exceed the {bound}-gate bound")
         if not math.isfinite(self.residual) or self.residual < 0.0:
             raise ValueError(f"residual must be finite and nonnegative, got {self.residual!r}")
         if self.ybe_moves < 0:
             raise ValueError(f"ybe_moves must be nonnegative, got {self.ybe_moves!r}")
-        if len(self.slots) != n:
-            raise ValueError(f"need {n} template slots, got {len(self.slots)}")
-        flat = sorted(i for s in self.slots for i in s)
-        if flat != list(range(len(self.circuit.gates))):
-            raise ValueError("slots must partition the gate list")
-        for k, idxs in enumerate(self.slots):
-            for i in idxs:
-                g = self.circuit.gates[i]
+        for k, slot in enumerate(self.slots):
+            for g in slot:
                 if g.pair % 2 != k % 2:
                     raise ValueError(f"gate on pair {g.pair} misplaced in slot {k}")
                 if not isinstance(g.params, RGateParams):
@@ -130,7 +124,7 @@ class _WordEngine:
         self.word: list[list] = []
         self.residual = block.residual
         self.moves = 0
-        for g in (block.circuit.gates[i] for s in block.slots for i in s):
+        for g in block.circuit.gates:
             if not self._ascend(g.pair, g.params.gamma, g.params.delta):
                 raise ValueError("block word is not reduced; cannot reload")
 
@@ -209,46 +203,36 @@ def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
     return slots if sigma == sorted(sigma) else None
 
 
+# (gamma axis, delta axis) of R(gamma, delta) under each conjugation tag: the
+# axes of the tag's two-axis family
+_TAG_AXES = {
+    f.conjugation: (f.gamma_axis, f.delta_axis)
+    for f in FAMILY_TABLE.values()
+    if f.gamma_axis and f.delta_axis
+}
+
+
+def _angles(g: PairGate) -> Angles3:
+    """The gate's (x, y, z) angles: R(gamma, delta) under tag none, u1 or u2 is
+    (gamma, 0, delta), (0, gamma, delta) or (gamma, delta, 0)."""
+    if isinstance(g.params, Angles3):
+        return g.params
+    by_axis = dict(zip(_TAG_AXES[g.conjugation], g.params.as_tuple()))
+    return Angles3(*(by_axis.get(axis, 0.0) for axis in "xyz"))
+
+
 def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
     """(gamma, delta) of a gate of the block's class."""
-    family = klass.family
-    if isinstance(g.params, RGateParams):
-        if g.conjugation != family.conjugation:
-            raise ValueError(
-                f"gate conjugation {g.conjugation!r} does not match the block's "
-                f"{family.conjugation!r}"
-            )
-        return g.params.as_tuple()
-    axes = [axis for axis, t in zip("xyz", g.params.as_tuple()) if abs(t) > ZERO_TOL]
+    a = _angles(g)
+    axes = [axis for axis, t in zip("xyz", a.as_tuple()) if abs(t) > ZERO_TOL]
     if not set(axes) <= set(klass.axes):
         raise ValueError(f"gate with axes {axes} does not fit class {klass.name}")
-    return family.r_params(g.params)
-
-
-def _block_from_slots(
-    n: int,
-    slot_letters: list[list[list[float]]],
-    klass: HamiltonianClass,
-    residual: float,
-    moves: int,
-) -> CompressedBlock:
-    conj = klass.family.conjugation
-    gates: list[PairGate] = []
-    slots: list[tuple[int, ...]] = []
-    for letters in slot_letters:
-        idxs = []
-        for j, gamma, delta in letters:
-            idxs.append(len(gates))
-            gates.append(PairGate(int(j), RGateParams(float(gamma), float(delta)), conj))
-        slots.append(tuple(idxs))
-    columns = tuple(s for s in slots if s)
-    circ = Circuit(n, tuple(gates), columns)
-    return CompressedBlock(circ, klass, residual, moves, tuple(slots))
+    return klass.family.r_params(a)
 
 
 def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> CompressedBlock:
     """The identity block: no gates, all template slots free."""
-    return _block_from_slots(n, [[] for _ in range(n)], klass, 0.0, 0)
+    return CompressedBlock(((),) * n, klass, 0.0, 0)
 
 
 def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlock:
@@ -260,45 +244,39 @@ def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlo
     eng = _WordEngine(block)
     for g in layer:
         eng.absorb(g.pair, *_r_form_gate(g, block.klass))
-    return _block_from_slots(
-        block.num_qubits,
-        eng.emit(),
-        block.klass,
-        eng.residual,
-        block.ybe_moves + eng.moves,
+    conj = block.conjugation
+    slots = tuple(
+        tuple(PairGate(j, RGateParams(gamma, delta), conj) for j, gamma, delta in letters)
+        for letters in eng.emit()
     )
+    return CompressedBlock(slots, block.klass, eng.residual, block.ybe_moves + eng.moves)
 
 
 def _detect_class(c: Circuit) -> HamiltonianClass:
-    kinds = {type(g.params) for g in c.gates}
-    if len(kinds) > 1:
-        raise UnsupportedClassError("cannot compress mixed parameter kinds")
-    if kinds == {Angles3}:
-        peaks = (max(abs(g.params.as_tuple()[k]) for g in c.gates) for k in range(3))
-        klass = classify(CouplingParams(*peaks))
-        if klass is HamiltonianClass.XYZ:
-            raise UnsupportedClassError(
-                "three-axis couplings are outside the compressible families"
-            )
-        return klass
-    tags = {g.conjugation for g in c.gates}
-    if len(tags) > 1:
-        raise UnsupportedClassError("cannot compress mixed conjugation tags")
-    tag = tags.pop()
-    has_gamma = any(abs(g.params.gamma) > ZERO_TOL for g in c.gates)
-    has_delta = any(abs(g.params.delta) > ZERO_TOL for g in c.gates)
-    # the first family of this tag that feeds every parameter present
-    return next(
-        klass
-        for klass, family in FAMILY_TABLE.items()
-        if family.conjugation == tag
-        and (family.gamma_axis or not has_gamma)
-        and (family.delta_axis or not has_delta)
-    )
+    """The class of the per-axis peak angles over every gate."""
+    peaks = (max(map(abs, axis)) for axis in zip(*(_angles(g).as_tuple() for g in c.gates)))
+    klass = classify(CouplingParams(*peaks))
+    if klass is HamiltonianClass.XYZ:
+        raise UnsupportedClassError("three-axis couplings are outside the compressible families")
+    return klass
+
+
+def _columns(c: Circuit) -> list[list[PairGate]]:
+    """Left-packed columns: each gate joins the first column after every
+    earlier gate that shares a qubit with it."""
+    frontier = [0] * c.num_qubits
+    columns: list[list[PairGate]] = []
+    for g in c.gates:
+        depth = max(frontier[g.pair], frontier[g.pair + 1])
+        if depth == len(columns):
+            columns.append([])
+        columns[depth].append(g)
+        frontier[g.pair] = frontier[g.pair + 1] = depth + 1
+    return columns
 
 
 def compress(c: Circuit) -> CompressedBlock:
-    """Absorb a whole alternating-layer circuit into one template block.
+    """Absorb a whole circuit into one template block, two columns at a time.
 
     The gate count of the result is at most N(N-1)/2 regardless of how many
     layers went in. Raises UnsupportedClassError for three-axis gate sets
@@ -306,12 +284,10 @@ def compress(c: Circuit) -> CompressedBlock:
     """
     if not c.gates:
         return empty_block(c.num_qubits)
-    cc = c if c.columns is not None else columnize(c)
-    block = empty_block(cc.num_qubits, _detect_class(cc))
-    cols = cc.columns
+    block = empty_block(c.num_qubits, _detect_class(c))
+    cols = _columns(c)
     for start in range(0, len(cols), 2):
-        layer = [cc.gates[i] for col in cols[start : start + 2] for i in col]
-        block = absorb_layer(block, layer)
+        block = absorb_layer(block, [g for col in cols[start : start + 2] for g in col])
     return block
 
 
@@ -322,15 +298,11 @@ def pad_to_template(block: CompressedBlock) -> CompressedBlock:
     making per-step counts of the compressed circuit shape-stable.
     """
     n = block.num_qubits
-    letters: list[list[list[float]]] = []
-    for k, idxs in enumerate(block.slots):
-        have = {block.circuit.gates[i].pair: block.circuit.gates[i] for i in idxs}
-        row = []
-        for j in range(k % 2, n - 1, 2):
-            g = have.get(j)
-            if g is None:
-                row.append([j, 0.0, 0.0])
-            else:
-                row.append([j, g.params.gamma, g.params.delta])
-        letters.append(row)
-    return _block_from_slots(n, letters, block.klass, block.residual, block.ybe_moves)
+    identity = RGateParams(0.0, 0.0)
+    slots = []
+    for k, slot in enumerate(block.slots):
+        have = {g.pair: g for g in slot}
+        slots.append(tuple(
+            have.get(j) or PairGate(j, identity, block.conjugation) for j in range(k % 2, n - 1, 2)
+        ))
+    return CompressedBlock(tuple(slots), block.klass, block.residual, block.ybe_moves)

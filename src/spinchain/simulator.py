@@ -71,6 +71,7 @@ def build_hamiltonian(n: int, j: CouplingParams) -> np.ndarray:
 
 def basis_state(n: int, bits: str) -> np.ndarray:
     """Computational basis state from a bitstring; qubit 0 is the first char."""
+    _check_size(n)
     if len(bits) != n or any(ch not in "01" for ch in bits):
         raise ValueError(f"need a length-{n} bitstring of 0/1, got {bits!r}")
     amps = np.zeros(1 << n, dtype=complex)
@@ -80,8 +81,6 @@ def basis_state(n: int, bits: str) -> np.ndarray:
 
 def neel_state(n: int) -> np.ndarray:
     """Alternating product state: spin up (|0>) on even sites, starting at site 0."""
-    if n < 1:
-        raise ValueError(f"need at least 1 qubit, got {n}")
     return basis_state(n, "01" * (n // 2) + "0" * (n % 2))
 
 

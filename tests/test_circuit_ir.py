@@ -11,10 +11,10 @@ from spinchain._dense import phase_distance
 from spinchain.circuit_ir import (
     Circuit,
     NativeCircuit,
+    QASM_HEADER,
     PairGate,
     QasmParseError,
     build_trotter_circuit,
-    columnize,
     from_qasm,
     to_native,
     to_qasm,
@@ -77,15 +77,11 @@ def test_pair_gate_validation():
     assert g.unitary().shape == (4, 4)
 
 
-def test_circuit_rejects_overlapping_columns():
-    gates = (
-        PairGate(0, Angles3(0.1, 0.0, 0.0)),
-        PairGate(1, Angles3(0.2, 0.0, 0.0)),
-    )
+def test_circuit_rejects_pairs_off_the_chain():
     with pytest.raises(ValueError):
-        Circuit(3, gates, columns=((0, 1),))
+        Circuit(3, (PairGate(2, Angles3(0.1, 0.0, 0.0)),))
     with pytest.raises(ValueError):
-        Circuit(3, gates, columns=((0,),))  # not a partition
+        Circuit(1, ())
 
 
 def test_native_circuit_requires_adjacent_cx():
@@ -101,38 +97,14 @@ def test_build_trotter_structure():
     assert len(c.gates) == 4 * 4
     a = step_angles(j, plan.dt)
     assert all(g.params == a for g in c.gates)
-    assert c.is_alternating
-    cols = c.column_gates()
-    assert len(cols) == 8
-    # even column carries pairs 0 and 2, odd column pairs 1 and 3
-    assert sorted(g.pair for g in cols[0]) == [0, 2]
-    assert sorted(g.pair for g in cols[1]) == [1, 3]
+    # each step: the even pairs 0 and 2, then the odd pairs 1 and 3
+    assert [g.pair for g in c.gates] == [0, 2, 1, 3] * 4
 
 
 def test_build_trotter_two_qubits():
     c = build_trotter_circuit(2, CouplingParams(1.0, 0.0, 0.0), TrotterPlan(0.2, 0.1))
-    assert len(c.gates) == 2
-    assert all(g.pair == 0 for g in c.gates)
-    # two same-parity columns in a row do not alternate; they are mergeable
-    assert not c.is_alternating
-    single = build_trotter_circuit(2, CouplingParams(1.0, 0.0, 0.0), TrotterPlan(0.1, 0.1))
-    assert single.is_alternating
-
-
-def test_columnize_partitions_and_preserves_order():
-    rng = np.random.default_rng(SEED)
-    for _ in range(TRIALS):
-        n = int(rng.integers(2, 7))
-        c = random_pair_circuit(rng, n, int(rng.integers(0, 20)))
-        packed = columnize(c)
-        idx = [i for col in packed.columns for i in col]
-        assert sorted(idx) == list(range(len(c.gates)))
-        for col in packed.columns:
-            pairs = [packed.gates[i].pair for i in col]
-            # no two gates in a column may touch the same qubit
-            spans = [q for p in pairs for q in (p, p + 1)]
-            assert len(spans) == len(set(spans))
-        assert np.max(np.abs(unitary_of(packed) - unitary_of(c))) < TOL if c.gates else True
+    # one gate per step on the only pair; there is no odd pair
+    assert [g.pair for g in c.gates] == [0, 0]
 
 
 def test_unitary_of_matches_kron_oracle():
@@ -309,3 +281,57 @@ def test_from_qasm_rejects_non_unitary_statements():
         from_qasm(
             'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nmeasure q[0] -> c[0];\n'
         )
+
+
+def test_from_qasm_rejects_indices_beyond_the_int_digit_limit():
+    # an index longer than the interpreter's int-conversion limit (4300
+    # digits) is a parse error at its statement, not a bare ValueError
+    digits = "1" * 5000
+    for text, line in (
+        (QASM_HEADER + f"qreg q[{digits}];\n", 3),
+        (QASM_HEADER + f"qreg q[2];\nh q[{digits}];\n", 4),
+    ):
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(text)
+        assert (err.value.line, err.value.column) == (line, 1)
+        assert "5000 digits" in str(err.value)
+
+
+DIGIT_RUNS = st.one_of(
+    st.integers(0, 7).map(str),
+    st.integers(4290, 4400).map(lambda k: "7" * k),
+    st.text(alphabet="0123456789٣۵२߂７", min_size=1, max_size=4),
+)
+QASM_WORDS = st.sampled_from(
+    ("OPENQASM 2.0;", 'include "qelib1.inc";', "\n", " ", ";", ",", "(", ")", "[", "]",
+     "q", "pi", "-", ".", "e", "//", "rx", "rz", "h", "s", "cx", "creg", "gate", "OPENQASM 3.0;")
+)
+
+
+@st.composite
+def qasm_like_texts(draw):
+    # statements with drawn holes, raw fragments and arbitrary text, joined
+    idx = DIGIT_RUNS
+    angle = st.one_of(st.floats().map(repr), st.sampled_from(("pi", "-pi", "")), DIGIT_RUNS, st.text(max_size=4))
+    piece = st.one_of(
+        idx.map(lambda i: f"qreg q[{i}];\n"),
+        st.tuples(st.sampled_from(("rx", "rz")), angle, idx).map(lambda t: f"{t[0]}({t[1]}) q[{t[2]}];\n"),
+        st.tuples(st.sampled_from(("h", "s")), idx).map(lambda t: f"{t[0]} q[{t[1]}];\n"),
+        st.tuples(idx, idx).map(lambda t: f"cx q[{t[0]}],q[{t[1]}];\n"),
+        QASM_WORDS,
+        DIGIT_RUNS,
+        st.text(max_size=12),
+    )
+    head = draw(st.sampled_from(("", QASM_HEADER)))
+    return head + "".join(draw(st.lists(piece, max_size=12)))
+
+
+@given(qasm_like_texts())
+@example(QASM_HEADER + "qreg q[" + "9" * 4301 + "];\n")
+@example(QASM_HEADER + "qreg q[2];\ncx q[0],q[" + "9" * 4301 + "];\n")
+def test_from_qasm_gives_a_circuit_or_a_parse_error(text):
+    try:
+        c = from_qasm(text)
+    except QasmParseError:
+        return
+    assert isinstance(c, NativeCircuit)

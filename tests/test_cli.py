@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
 from spinchain.propagators import RGateParams
-from spinchain.spin_model import MAX_ANGLE, CouplingParams, TrotterPlan
+from spinchain.spin_model import MAX_ANGLE, Angles3, CouplingParams, TrotterPlan
 
 BASE_CONFIG = {
     "J": {"x": -0.8, "y": -0.2, "z": 0.0},
@@ -142,6 +143,22 @@ def test_load_config_rejects_oversized_jobs(tmp_path):
         assert "too large" in str(err.value)
 
 
+def test_evolve_basis_init_beyond_the_dense_limit_exit_2(tmp_path, capsys):
+    # the size diagnostic comes before the 2^40-amplitude initial state exists
+    cfg = write_config(tmp_path, spins=40, init="basis:" + "01" * 20, t_final=0.1, dt=0.05)
+    tracemalloc.start()
+    try:
+        code = main(["evolve", "--config", str(cfg), "--mode", "exact"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dense engine supports 2..12 qubits, got 40" in captured.err
+    assert peak < 1 << 20
+
+
 def test_evolve_outputs_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
     a = tmp_path / "a.csv"
@@ -252,6 +269,20 @@ def test_compress_from_qasm_round_trip(tmp_path, capsys):
     assert stats["gates_before"] == len(circuit.gates)
     shallow = from_qasm(qasm_out.read_text(encoding="utf-8"))
     assert phase_distance(unitary_of(shallow), unitary_of(circuit)) < 1e-7
+
+
+def test_compress_from_qasm_with_mixed_conjugation_tags(tmp_path, capsys):
+    # an XY-family circuit with one y = 0 gate: QASM emission writes one u2
+    # and one untagged gate, and compress must still read both as XY gates
+    c = Circuit(3, (PairGate(0, Angles3(0.3, 0.2, 0.0)), PairGate(1, Angles3(0.3, 0.0, 0.0))))
+    deep, shallow = tmp_path / "deep.qasm", tmp_path / "shallow.qasm"
+    deep.write_text(to_qasm(c), encoding="utf-8")
+    assert main(["compress", str(deep), "--qasm-out", str(shallow)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["gates_after"] == 2
+    assert main(["verify", str(shallow), str(deep)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,12 @@ Independent oracle: 8x8 operator products built from explicit kron
 embeddings of the two-parameter propagator matrix.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinchain.propagators import RGateParams, r_matrix
 from spinchain.ybe import (
@@ -187,6 +191,28 @@ def test_solve_round_trip_preserves_unitary():
         back = solve(there.triple)
         assert back.triple.form is YbeForm.LEFT
         assert np.max(np.abs(kron_unitary(t) - kron_unitary(back.triple))) < ROUND_TRIP_TOL
+
+
+SPECIAL_ANGLES = (
+    0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+    1e-13, -1e-13, 1e-9, 3.0,
+)
+ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi))
+TRIPLES = st.builds(
+    YbeTriple.from_angles, st.lists(st.tuples(ANGLES, ANGLES), min_size=3, max_size=3), st.sampled_from(YbeForm)
+)
+
+
+@given(TRIPLES)
+def test_solve_round_trip_property(t):
+    # there and back gives a triple of the starting form with the same
+    # unitary, or a solve says it cannot
+    try:
+        back = solve(solve(t).triple)
+    except UnsolvedError:
+        return
+    assert back.triple.form is t.form
+    assert np.max(np.abs(kron_unitary(t) - kron_unitary(back.triple))) < ROUND_TRIP_TOL
 
 
 def test_solve_middle_identity_merges_outer_gates():
