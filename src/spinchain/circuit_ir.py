@@ -23,14 +23,11 @@ from .propagators import (
     from_angles3,
     native_gate_matrix,
     r_gate_sequence,
-    sequence_unitary,
     xyz_propagator,
 )
 from .spin_model import MAX_ANGLE, CouplingParams, TrotterPlan, step_angles
 
 MAX_DENSE_QUBITS = 12
-
-RECOGNIZE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -183,82 +180,65 @@ def _fused_ops(c: Circuit | NativeCircuit):
 
 
 def _pair_gate_native(g: PairGate) -> GateSequence:
+    """The emitter's native block for one pair gate, on register qubits."""
     if isinstance(g.params, RGateParams):
-        return r_gate_sequence(g.params, g.conjugation)
-    params, tag, ok = from_angles3(g.params)
-    return r_gate_sequence(params, tag) if ok else decompose_xyz(g.params)
+        local = r_gate_sequence(g.params, g.conjugation)
+    else:
+        params, tag, ok = from_angles3(g.params)
+        local = r_gate_sequence(params, tag) if ok else decompose_xyz(g.params)
+    return tuple(
+        NativeGate(ng.kind, tuple(q + g.pair for q in ng.qubits), ng.angle) for ng in local
+    )
 
 
 def to_native(c: Circuit) -> NativeCircuit:
     """Expand pair gates into native gates via the class circuits (or 3-CX form)."""
-    gates: list[NativeGate] = []
-    for g in c.gates:
-        for ng in _pair_gate_native(g):
-            gates.append(
-                NativeGate(ng.kind, tuple(q + g.pair for q in ng.qubits), ng.angle)
-            )
-    return NativeCircuit(c.num_qubits, tuple(gates))
+    return NativeCircuit(c.num_qubits, tuple(ng for g in c.gates for ng in _pair_gate_native(g)))
 
 
-def _recognition_templates() -> list[tuple[tuple[str, ...], str, int | None, int | None]]:
-    """(native kinds, tag, rx index, rz index) of every R-gate expansion.
+def _recognize_block(gates: GateSequence, pos: int, tag: str) -> tuple[PairGate, int] | None:
+    """(R gate under tag, block length) when its native block starts gates[pos:], else None.
 
-    Each conjugation tag's sandwich wraps one of three two-CX cores: rx and
-    rz, rx alone (also the identity gate's shape), rz alone. Longest first.
+    gamma and delta are read from the rx and rz after the sandwich head and
+    the first cx (an absent one reads as 0.0); the block must equal their
+    re-emission, angles compared as parsed.
     """
-    templates = []
-    for tag in CONJUGATION_TAGS:
-        head, tail = (tuple(g.kind for g in side) for side in SANDWICH[tag])
-        for core in (("rx", "rz"), ("rx",), ("rz",)):
-            gi = len(head) + 1 if "rx" in core else None
-            di = len(head) + len(core) if "rz" in core else None
-            templates.append((head + ("cx", *core, "cx") + tail, tag, gi, di))
-    return sorted(templates, key=lambda e: (-len(e[0]), e[0]))
-
-
-_TEMPLATES = _recognition_templates()
+    head = len(SANDWICH[tag][0])
+    if pos + head >= len(gates) or gates[pos + head].kind != "cx":
+        return None
+    i = pos + head + 1
+    gamma = delta = 0.0
+    if i < len(gates) and gates[i].kind == "rx":
+        gamma = -0.5 * gates[i].angle
+        i += 1
+    if i < len(gates) and gates[i].kind == "rz":
+        delta = -0.5 * gates[i].angle
+    gate = PairGate(gates[pos + head].qubits[0], RGateParams(gamma, delta), tag)
+    block = _pair_gate_native(gate)
+    return (gate, len(block)) if gates[pos : pos + len(block)] == block else None
 
 
 def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
     """Group native gates back into R(gamma, delta) pair gates: the inverse of to_native.
 
-    Greedy longest-first matching of the emitter's per-gate native blocks;
-    every match is verified against the dense gate matrix before acceptance.
+    At each position every conjugation tag's block is tried in turn; a pair
+    gate is accepted only when the emitter would write exactly these gates.
     """
     gates = native.gates
     out: list[PairGate] = []
     pos = 0
     while pos < len(gates):
-        matched = None
-        for kinds, tag, gi, di in _TEMPLATES:
-            end = pos + len(kinds)
-            if end > len(gates):
-                continue
-            window = gates[pos:end]
-            if tuple(g.kind for g in window) != kinds:
-                continue
-            qubits = {q for g in window for q in g.qubits}
-            if len(qubits) != 2 or max(qubits) - min(qubits) != 1:
-                continue
-            base = min(qubits)
-            local = tuple(
-                NativeGate(g.kind, tuple(q - base for q in g.qubits), g.angle)
-                for g in window
-            )
-            gamma = -0.5 * window[gi].angle if gi is not None else 0.0
-            delta = -0.5 * window[di].angle if di is not None else 0.0
-            params = RGateParams(gamma, delta)
-            target = conjugated_r_matrix(params, tag)
-            if _dense.phase_distance(sequence_unitary(local), target) < RECOGNIZE_TOL:
-                matched = PairGate(base, params, tag)
-                pos = end
+        for tag in CONJUGATION_TAGS:
+            match = _recognize_block(gates, pos, tag)
+            if match is not None:
                 break
-        if matched is None:
+        else:
             raise ValueError(
                 f"unrecognized gate structure at native gate {pos}; expected "
                 "the per-gate blocks produced by the QASM emitter"
             )
-        out.append(matched)
+        out.append(match[0])
+        pos += match[1]
     return Circuit(native.num_qubits, tuple(out))
 
 

@@ -11,14 +11,13 @@ from pathlib import Path
 
 from . import _dense
 from .circuit_ir import (
-    QasmParseError,
     build_trotter_circuit,
     from_qasm,
     recognize_pair_circuit,
     to_qasm,
     unitary_of,
 )
-from .compressor import ResidualBudgetError, UnsupportedClassError, compress
+from .compressor import ResidualBudgetError, compress
 from .simulator import (
     NoiseModel,
     ObservableSeries,
@@ -230,6 +229,11 @@ def _cmd_compress(args) -> int:
         raise ConfigError("compress needs exactly one input: a QASM path or --config")
     if args.qasm_in is not None:
         native = from_qasm(Path(args.qasm_in).read_text(encoding="utf-8"))
+        if native.num_qubits > MAX_PAIR_GATES + 1:
+            raise ConfigError(
+                f"qreg of {native.num_qubits} qubits exceeds {MAX_PAIR_GATES + 1}, "
+                "the longest chain a job config allows"
+            )
         circuit = recognize_pair_circuit(native)
     else:
         cfg = load_config(Path(args.config))
@@ -297,15 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compress":
             return _cmd_compress(args)
         return _cmd_verify(args)
-    except (
-        ConfigError,
-        QasmParseError,
-        UnsolvedError,
-        UnsupportedClassError,
-        ResidualBudgetError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (UnsolvedError, ResidualBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

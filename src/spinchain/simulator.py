@@ -261,19 +261,24 @@ def run_dynamics(
 
 
 def _noisy_trajectory(
-    native: NativeCircuit,
+    step: Circuit | NativeCircuit,
     num_steps: int,
     noise: NoiseModel,
-    init: np.ndarray,
+    init_state: np.ndarray | None,
 ) -> np.ndarray:
     """Repeat the step circuit num_steps times; m_s per shot per step.
 
-    Returns shape (num_steps + 1, shots), row 0 for the initial state. Shot s
-    consumes exactly the (num_steps * len(gates), 2) uniform block of
+    Noise acts on the step's native expansion. Returns shape
+    (num_steps + 1, shots), row 0 for the initial state (Neel when None).
+    Shot s consumes exactly the (num_steps * len(gates), 2) uniform block of
     default_rng(seed + s), so results are independent of chunked batching
     over shots and over steps.
     """
+    if num_steps < 1:
+        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    native = to_native(step) if isinstance(step, Circuit) else step
     n = native.num_qubits
+    init = _initial_state(n, init_state)
     gates = [(g, native_gate_matrix(g)) for g in native.gates]
     values = np.empty((num_steps + 1, noise.shots))
     for base in range(0, noise.shots, _NOISE_CHUNK):
@@ -329,11 +334,7 @@ def run_noisy(
     shots: shot s consumes exactly the (len(gates), 2) uniform block of
     default_rng(seed + s), independent of batching.
     """
-    native = to_native(c) if isinstance(c, Circuit) else c
-    n = native.num_qubits
-    init = _initial_state(n, init_state)
-    values = _noisy_trajectory(native, 1, noise, init)
-    return _mean_stderr(values[1], noise.shots)
+    return _mean_stderr(_noisy_trajectory(c, 1, noise, init_state)[1], noise.shots)
 
 
 def run_noisy_series(
@@ -348,10 +349,5 @@ def run_noisy_series(
     The final row equals run_noisy on the num_steps-fold circuit because the
     per-shot uniform stream is consumed identically.
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    native = to_native(step) if isinstance(step, Circuit) else step
-    n = native.num_qubits
-    init = _initial_state(n, init_state)
-    values = _noisy_trajectory(native, num_steps, noise, init)
-    return [_mean_stderr(values[k], noise.shots) for k in range(num_steps + 1)]
+    values = _noisy_trajectory(step, num_steps, noise, init_state)
+    return [_mean_stderr(row, noise.shots) for row in values]

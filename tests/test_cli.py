@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from spinchain._dense import phase_distance
-from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
+from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
-from spinchain.propagators import RGateParams
+from spinchain.propagators import NativeGate, RGateParams
 from spinchain.spin_model import MAX_ANGLE, Angles3, CouplingParams, TrotterPlan
 
 BASE_CONFIG = {
@@ -401,6 +401,34 @@ def test_recognize_pair_circuit_matches_source():
             assert rebuilt.gates == c.gates
             assert phase_distance(unitary_of(rebuilt), unitary_of(c)) < 1e-10
     assert len(shapes) == 9
+    # a block is recognised only as the emitter writes it: a sandwich angle
+    # off by 1e-13, or the two commuting head rotations swapped, is rejected
+    # although the unitary is within 1e-10 of an R gate
+    u1 = to_native(Circuit(2, (PairGate(0, RGateParams(0.3, -0.2), "u1"),))).gates
+    nudged = (NativeGate("rz", (0,), -(math.pi / 2 + 1e-13)), *u1[1:])
+    u2 = to_native(Circuit(2, (PairGate(0, RGateParams(0.3, -0.2), "u2"),))).gates
+    swapped = (u2[1], u2[0], *u2[2:])
+    assert swapped != u2
+    for gates in (nudged, swapped):
+        with pytest.raises(ValueError, match="unrecognized gate structure at native gate 0;"):
+            recognize_pair_circuit(NativeCircuit(2, gates))
+
+
+def test_compress_rejects_a_qreg_longer_than_any_job(tmp_path, capsys):
+    # a job config allows at most MAX_PAIR_GATES + 1 spins (one step); a
+    # longer qreg exits 2 before any per-qubit slot is allocated
+    deep, shallow = tmp_path / "deep.qasm", tmp_path / "shallow.qasm"
+    for size, code in ((10**20, 2), (MAX_PAIR_GATES + 2, 2), (MAX_PAIR_GATES + 1, 0)):
+        deep.write_text(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{size}];\n', encoding="utf-8")
+        assert main(["compress", str(deep), "--qasm-out", str(shallow)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error:")
+            assert not shallow.exists()
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out)["gates_after"] == 0
+            assert from_qasm(shallow.read_text(encoding="utf-8")).num_qubits == MAX_PAIR_GATES + 1
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):
