@@ -13,6 +13,7 @@ from .propagators import (
     CONJUGATION_TAGS,
     CX_MATRIX,
     CX_REVERSED_MATRIX,
+    GATE_KINDS,
     SANDWICH,
     Angles3,
     GateSequence,
@@ -348,7 +349,7 @@ def from_qasm(text: str) -> NativeCircuit:
             kind = m.group("kind")
             if kind in ("creg", "measure", "barrier", "reset", "gate", "if"):
                 raise QasmParseError(lineno, col, f"{kind!r} is outside the supported subset")
-            if kind not in ("rx", "rz", "h", "s", "cx"):
+            if kind not in GATE_KINDS:
                 raise QasmParseError(lineno, col, f"unknown gate {kind!r}")
             if num_qubits is None:
                 raise QasmParseError(lineno, col, "gate before qreg declaration")
@@ -362,18 +363,7 @@ def from_qasm(text: str) -> NativeCircuit:
                     raise QasmParseError(lineno, col, f"qubit {idx} out of range")
                 qubits.append(idx)
             angle_text = m.group("angle")
-            angle = None
-            if kind in ("rx", "rz"):
-                if angle_text is None:
-                    raise QasmParseError(lineno, col, f"{kind} needs an angle")
-                angle = _parse_angle(angle_text, lineno, col)
-            elif angle_text is not None:
-                raise QasmParseError(lineno, col, f"{kind} takes no angle")
-            expected = 2 if kind == "cx" else 1
-            if len(qubits) != expected:
-                raise QasmParseError(
-                    lineno, col, f"{kind} expects {expected} operand(s), got {len(qubits)}"
-                )
+            angle = None if angle_text is None else _parse_angle(angle_text, lineno, col)
             try:
                 gates.append(NativeGate(kind, tuple(qubits), angle))
             except ValueError as exc:

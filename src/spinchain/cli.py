@@ -19,6 +19,7 @@ from .circuit_ir import (
 )
 from .compressor import ResidualBudgetError, compress
 from .simulator import (
+    MODES as ENGINE_MODES,
     NoiseModel,
     ObservableSeries,
     basis_state,
@@ -32,10 +33,14 @@ from .simulator import (
 from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, step_angles
 from .ybe import UnsolvedError
 
-MODES = ("exact", "trotter", "compressed", "all")
+MODES = (*ENGINE_MODES, "all")
 
 # ceiling on num_steps x (spins - 1), the pair gates of a job's Trotter circuit
 MAX_PAIR_GATES = 10**6
+
+# ceiling on shots x num_steps x (spins - 1), the pair gates of a noisy job's
+# shots; it keeps the (num_steps + 1) x shots record of m_s values under 1 GiB
+MAX_SHOT_PAIR_GATES = 5 * 10**7
 
 
 class ConfigError(ValueError):
@@ -48,8 +53,7 @@ class JobConfig:
 
     j: CouplingParams
     spins: int
-    t_final: float
-    dt: float
+    plan: TrotterPlan
     init: str = "neel"
     noise: NoiseModel | None = None
     mode: str = "all"
@@ -139,19 +143,23 @@ def load_config(path: Path) -> JobConfig:
     mode = data.get("mode", "all")
     if mode not in MODES:
         raise ConfigError(f"config field 'mode' must be one of {MODES}, got {mode!r}")
-    steps = t_final / dt if dt > 0 else 0.0
-    if math.isfinite(steps):
-        steps = round(steps)
-    if steps * (spins - 1) > MAX_PAIR_GATES:
-        raise ConfigError(
-            f"job too large: t_final/dt = {steps:.6g} steps x {spins - 1} pairs exceeds "
-            f"{MAX_PAIR_GATES} pair gates"
-        )
     try:
+        plan = TrotterPlan(t_final, dt)
         step_angles(j, dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return JobConfig(j, spins, t_final, dt, init, noise, mode)
+    pair_gates = plan.num_steps * (spins - 1)
+    if pair_gates > MAX_PAIR_GATES:
+        raise ConfigError(
+            f"job too large: t_final/dt = {plan.num_steps:.6g} steps x {spins - 1} pairs exceeds "
+            f"{MAX_PAIR_GATES} pair gates"
+        )
+    if noise is not None and noise.shots * pair_gates > MAX_SHOT_PAIR_GATES:
+        raise ConfigError(
+            f"job too large: {noise.shots} shots x {plan.num_steps} steps x {spins - 1} pairs "
+            f"exceeds {MAX_SHOT_PAIR_GATES} noisy pair gates"
+        )
+    return JobConfig(j, spins, plan, init, noise, mode)
 
 
 def _init_state(cfg: JobConfig):
@@ -170,23 +178,18 @@ def _suffixed(out: Path, tag: str) -> Path:
     return out.with_name(f"{out.stem}.{tag}{out.suffix}")
 
 
-def _noisy_rows(cfg: JobConfig, plan: TrotterPlan, mode: str, noise: NoiseModel, init):
+def _noisy_csv(cfg: JobConfig, mode: str, noise: NoiseModel, init) -> str:
+    plan = cfg.plan
     if mode == "trotter":
         step = build_trotter_circuit(cfg.spins, cfg.j, TrotterPlan(plan.dt, plan.dt))
-        return run_noisy_series(step, plan.num_steps, noise, init_state=init)
-    init_vec = neel_state(cfg.spins) if init is None else init
-    rows = [(staggered_magnetization(init_vec), 0.0)]
-    for circuit in compressed_steps(cfg.spins, cfg.j, plan):
-        rows.append(run_noisy(circuit, noise, init_state=init))
-    return rows
-
-
-def _rows_to_csv(rows, plan: TrotterPlan) -> str:
-    times = plan.times()
-    series = ObservableSeries(
-        tuple((k, times[k], rows[k][0]) for k in range(len(rows)))
-    )
-    return series.to_csv()
+        rows = run_noisy_series(step, plan.num_steps, noise, init_state=init)
+    else:
+        init_vec = neel_state(cfg.spins) if init is None else init
+        rows = [(staggered_magnetization(init_vec), 0.0)]
+        steps = compressed_steps(cfg.spins, cfg.j, plan)
+        rows += (run_noisy(c, noise, init_state=init) for c in steps)
+    points = zip(range(len(rows)), plan.times(), (mean for mean, _ in rows))
+    return ObservableSeries(tuple(points)).to_csv()
 
 
 def _cmd_evolve(args) -> int:
@@ -195,16 +198,15 @@ def _cmd_evolve(args) -> int:
     noise = cfg.noise
     if args.seed is not None and noise is not None:
         noise = NoiseModel(noise.p1, noise.p2, noise.shots, args.seed)
-    plan = TrotterPlan(cfg.t_final, cfg.dt)
     init = _init_state(cfg)
-    modes = ("exact", "trotter", "compressed") if mode == "all" else (mode,)
+    modes = ENGINE_MODES if mode == "all" else (mode,)
     if mode == "all" and args.out is None:
         raise ConfigError("--out is required with mode=all")
     if noise is not None and mode in ("trotter", "compressed") and args.out is None:
         raise ConfigError("--out is required for the noisy companion series")
     if args.qasm_out is not None and mode not in ("trotter", "compressed"):
         raise ConfigError("--qasm-out needs mode trotter or compressed")
-    series = {m: run_dynamics(cfg.spins, cfg.j, plan, m, init_state=init) for m in modes}
+    series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in modes}
     if mode == "all":
         out = Path(args.out)
         for m in modes:
@@ -214,10 +216,9 @@ def _cmd_evolve(args) -> int:
     else:
         _write(Path(args.out), series[mode].to_csv())
     if noise is not None and mode in ("trotter", "compressed"):
-        rows = _noisy_rows(cfg, plan, mode, noise, init)
-        _write(_suffixed(Path(args.out), "noisy"), _rows_to_csv(rows, plan))
+        _write(_suffixed(Path(args.out), "noisy"), _noisy_csv(cfg, mode, noise, init))
     if args.qasm_out is not None:
-        circ = build_trotter_circuit(cfg.spins, cfg.j, plan)
+        circ = build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)
         if mode == "compressed":
             circ = compress(circ).circuit
         _write(Path(args.qasm_out), to_qasm(circ))
@@ -237,9 +238,7 @@ def _cmd_compress(args) -> int:
         circuit = recognize_pair_circuit(native)
     else:
         cfg = load_config(Path(args.config))
-        circuit = build_trotter_circuit(
-            cfg.spins, cfg.j, TrotterPlan(cfg.t_final, cfg.dt)
-        )
+        circuit = build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)
     block = compress(circuit)
     _write(Path(args.qasm_out), to_qasm(block.circuit))
     stats = {

@@ -178,6 +178,8 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1], got {p!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _series(plan: TrotterPlan, values: list[float]) -> ObservableSeries:

@@ -122,12 +122,15 @@ class TrotterPlan:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not math.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, got {self.t_final!r}")
-        steps = round(self.t_final / self.dt)
+        ratio = self.t_final / self.dt
+        steps = round(ratio) if math.isfinite(ratio) else ratio
         if steps < 1:
             raise ValueError(
                 f"t_final/dt rounds to {steps} steps; need at least 1 "
                 f"(t_final={self.t_final}, dt={self.dt})"
             )
+        if steps == math.inf:
+            raise ValueError(f"t_final/dt = {steps!r} steps is too large")
         object.__setattr__(self, "num_steps", steps)
 
     def times(self) -> list[float]:
@@ -154,8 +157,6 @@ def step_angles(j: CouplingParams, dt: float) -> Angles3:
     The native circuits rotate by 2 theta, so |theta| must stay within
     MAX_ANGLE / 2 for the emitted QASM to read back.
     """
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt!r}")
     angles = Angles3(j.jx * dt, j.jy * dt, j.jz * dt)
     for axis, theta in zip("xyz", angles.as_tuple()):
         if abs(theta) > MAX_ANGLE / 2:

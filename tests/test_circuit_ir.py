@@ -261,6 +261,26 @@ def test_from_qasm_error_positions():
         from_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[7];\n')
 
 
+def test_from_qasm_gate_shape_errors_carry_their_position():
+    # NativeGate checks operand count and angle presence; the parser places
+    # its error at the offending statement
+    base = QASM_HEADER + "qreg q[2];\n"
+    for stmt, needle in (
+        ("h(0.5) q[0];", "h carries no angle"),
+        ("rx q[0];", "rx needs a finite angle"),
+        ("cx q[0];", "cx needs two distinct qubits"),
+        ("h q[0],q[1];", "h acts on one qubit"),
+    ):
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(base + stmt + "\n")
+        assert (err.value.line, err.value.column) == (4, 1)
+        assert needle in str(err.value)
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(base + "s q[1];  " + stmt + "\n")
+        assert (err.value.line, err.value.column) == (4, 10)
+        assert needle in str(err.value)
+
+
 def test_from_qasm_bounds_angles():
     base = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[1];\n'
     for text in (repr(MAX_ANGLE), f"-{MAX_ANGLE!r}"):

@@ -10,7 +10,7 @@ import pytest
 
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
-from spinchain.cli import MAX_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
+from spinchain.cli import MAX_PAIR_GATES, MAX_SHOT_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
 from spinchain.propagators import NativeGate, RGateParams
 from spinchain.spin_model import MAX_ANGLE, Angles3, CouplingParams, TrotterPlan
 
@@ -132,7 +132,7 @@ def test_load_config_rejects_oversized_jobs(tmp_path):
     # num_steps x (spins - 1) pair gates may reach the ceiling, not pass it;
     # only load_config runs, so a missing check allocates nothing
     at_limit = write_config(tmp_path, spins=3, dt=1.0, t_final=MAX_PAIR_GATES / 2)
-    assert load_config(at_limit).t_final == MAX_PAIR_GATES / 2
+    assert load_config(at_limit).plan.t_final == MAX_PAIR_GATES / 2
     for overrides in (
         {"spins": 3, "dt": 1.0, "t_final": MAX_PAIR_GATES / 2 + 1},
         {"spins": 3, "dt": 0.1, "t_final": 1e11},
@@ -141,6 +141,67 @@ def test_load_config_rejects_oversized_jobs(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, **overrides))
         assert "too large" in str(err.value)
+
+
+def test_load_config_bounds_noisy_shots(tmp_path):
+    # shots x num_steps x (spins - 1) may reach the ceiling, not pass it;
+    # only load_config runs, so a missing check allocates nothing
+    shots = MAX_SHOT_PAIR_GATES // (100 * 2)
+    at_limit = dict(spins=3, t_final=100.0, dt=1.0, noise={"p2": 0.01, "shots": shots})
+    assert load_config(write_config(tmp_path, **at_limit)).noise.shots == shots
+    over = dict(at_limit, noise={"p2": 0.01, "shots": shots + 1})
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, **over))
+    assert "too large" in str(err.value)
+    # the README job stays well inside it
+    readme = dict(spins=3, t_final=2.5, dt=0.025, noise={"p2": 0.01, "shots": 8192})
+    assert load_config(write_config(tmp_path, **readme)).noise.shots == 8192
+
+
+def test_evolve_rejects_too_many_shots_before_running(tmp_path, capsys):
+    # no --out: without the ceiling the run would still stop before any shot
+    noise = {"p2": 0.01, "shots": MAX_SHOT_PAIR_GATES}
+    cfg = write_config(tmp_path, spins=3, t_final=1.0, dt=1.0, noise=noise)
+    tracemalloc.start()
+    try:
+        code = main(["evolve", "--config", str(cfg), "--mode", "trotter"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "noisy pair gates" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+    assert peak < 1 << 20
+
+
+def test_negative_seed_exit_2_before_anything_is_written(tmp_path, capsys):
+    bad = write_config(tmp_path, "bad.json", noise={"p2": 0.01, "shots": 4, "seed": -5})
+    good = write_config(tmp_path, "good.json", noise={"p2": 0.01, "shots": 4, "seed": 5})
+    for cfg, extra in ((bad, []), (good, ["--seed", "-1"])):
+        argv = ["evolve", "--config", str(cfg), "--mode", "trotter", "--out", str(tmp_path / "m.csv")]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
+@pytest.mark.parametrize(
+    "spins, argv",
+    [(1, ["compress", "--qasm-out", "out.qasm"]), (0, ["evolve", "--mode", "exact"])],
+)
+def test_step_count_overflow_exit_2(spins, argv, tmp_path, capsys):
+    # t_final/dt overflows to inf; spins - 1 <= 0 pairs keeps the pair-gate
+    # ceiling from catching it, so the step rule itself must
+    cfg = write_config(tmp_path, spins=spins, J={"x": 1.0}, t_final=1e300, dt=1e-300)
+    argv = [str(tmp_path / a) if a.endswith(".qasm") else a for a in argv]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_final/dt = inf steps is too large\n"
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
 def test_evolve_basis_init_beyond_the_dense_limit_exit_2(tmp_path, capsys):

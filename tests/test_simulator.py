@@ -179,6 +179,8 @@ def test_noise_model_validation():
         NoiseModel(0.0, 1.5, 100, 7)
     with pytest.raises(ValueError):
         NoiseModel(0.0, 0.0, 0, 7)
+    with pytest.raises(ValueError, match="seed"):
+        NoiseModel(0.0, 0.0, 100, -1)
 
 
 def test_run_noisy_zero_noise_matches_noiseless():

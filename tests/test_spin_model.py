@@ -91,6 +91,11 @@ def test_trotter_plan_rejects_bad_grid():
         TrotterPlan(1.0, 0.0)
     with pytest.raises(ValueError):
         TrotterPlan(-1.0, 0.1)
+    # the step count overflows to +-inf: a diagnostic, not an OverflowError
+    with pytest.raises(ValueError, match="too large"):
+        TrotterPlan(1e300, 1e-300)
+    with pytest.raises(ValueError, match="at least 1"):
+        TrotterPlan(-1e300, 1e-300)
 
 
 def test_classify_random_axis_patterns():
