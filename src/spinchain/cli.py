@@ -18,18 +18,7 @@ from .circuit_ir import (
     unitary_of,
 )
 from .compressor import ResidualBudgetError, compress
-from .simulator import (
-    MODES as ENGINE_MODES,
-    NoiseModel,
-    ObservableSeries,
-    basis_state,
-    compressed_steps,
-    neel_state,
-    run_dynamics,
-    run_noisy,
-    run_noisy_series,
-    staggered_magnetization,
-)
+from .simulator import MODES as ENGINE_MODES, NoiseModel, basis_state, run_dynamics, run_noisy_dynamics
 from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, step_angles
 from .ybe import UnsolvedError
 
@@ -114,15 +103,6 @@ def load_config(path: Path) -> JobConfig:
     j = _parse_couplings(data)
     t_final = _number(data["t_final"], "t_final")
     dt = _number(data["dt"], "dt")
-    init = data.get("init", "neel")
-    if not isinstance(init, str) or (init != "neel" and not init.startswith("basis:")):
-        raise ConfigError("config field 'init' must be 'neel' or 'basis:<bitstring>'")
-    if init.startswith("basis:"):
-        bits = init[len("basis:") :]
-        if len(bits) != spins or any(ch not in "01" for ch in bits):
-            raise ConfigError(
-                f"config field 'init' needs a basis bitstring of {spins} 0/1 characters"
-            )
     noise = None
     if "noise" in data:
         nd = data["noise"]
@@ -148,6 +128,17 @@ def load_config(path: Path) -> JobConfig:
         step_angles(j, dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if spins < 2:
+        raise ConfigError(f"config field 'spins' must be at least 2, got {spins}")
+    init = data.get("init", "neel")
+    if not isinstance(init, str) or (init != "neel" and not init.startswith("basis:")):
+        raise ConfigError("config field 'init' must be 'neel' or 'basis:<bitstring>'")
+    if init.startswith("basis:"):
+        bits = init[len("basis:") :]
+        if len(bits) != spins or any(ch not in "01" for ch in bits):
+            raise ConfigError(
+                f"config field 'init' needs a basis bitstring of {spins} 0/1 characters"
+            )
     pair_gates = plan.num_steps * (spins - 1)
     if pair_gates > MAX_PAIR_GATES:
         raise ConfigError(
@@ -178,25 +169,13 @@ def _suffixed(out: Path, tag: str) -> Path:
     return out.with_name(f"{out.stem}.{tag}{out.suffix}")
 
 
-def _noisy_csv(cfg: JobConfig, mode: str, noise: NoiseModel, init) -> str:
-    plan = cfg.plan
-    if mode == "trotter":
-        step = build_trotter_circuit(cfg.spins, cfg.j, TrotterPlan(plan.dt, plan.dt))
-        rows = run_noisy_series(step, plan.num_steps, noise, init_state=init)
-    else:
-        init_vec = neel_state(cfg.spins) if init is None else init
-        rows = [(staggered_magnetization(init_vec), 0.0)]
-        steps = compressed_steps(cfg.spins, cfg.j, plan)
-        rows += (run_noisy(c, noise, init_state=init) for c in steps)
-    points = zip(range(len(rows)), plan.times(), (mean for mean, _ in rows))
-    return ObservableSeries(tuple(points)).to_csv()
-
-
 def _cmd_evolve(args) -> int:
     cfg = load_config(Path(args.config))
     mode = args.mode or cfg.mode
     noise = cfg.noise
-    if args.seed is not None and noise is not None:
+    if args.seed is not None:
+        if noise is None:
+            raise ConfigError("--seed needs a config with a 'noise' block")
         noise = NoiseModel(noise.p1, noise.p2, noise.shots, args.seed)
     init = _init_state(cfg)
     modes = ENGINE_MODES if mode == "all" else (mode,)
@@ -216,7 +195,8 @@ def _cmd_evolve(args) -> int:
     else:
         _write(Path(args.out), series[mode].to_csv())
     if noise is not None and mode in ("trotter", "compressed"):
-        _write(_suffixed(Path(args.out), "noisy"), _noisy_csv(cfg, mode, noise, init))
+        noisy = run_noisy_dynamics(cfg.spins, cfg.j, cfg.plan, mode, noise, init_state=init)
+        _write(_suffixed(Path(args.out), "noisy"), noisy.to_csv())
     if args.qasm_out is not None:
         circ = build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)
         if mode == "compressed":

@@ -5,6 +5,7 @@ depolarizing Monte Carlo."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -26,21 +27,9 @@ from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, classify
 
 MODES = ("exact", "trotter", "compressed")
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SINGLE_ERRORS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
-_PAIR_ERRORS = tuple(
-    np.kron(a, b)
-    for i, a in enumerate((np.eye(2, dtype=complex),) + _SINGLE_ERRORS)
-    for j, b in enumerate((np.eye(2, dtype=complex),) + _SINGLE_ERRORS)
-    if (i, j) != (0, 0)
-)
-
 _NOISE_CHUNK = 1024
 
-# ceiling on the uniform draws held at once by a chunk of noisy shots; a
-# chunk draws its steps in blocks that fit
+# ceiling on the uniform draws held at once by a chunk of noisy shots
 _DRAW_BYTES = 1 << 26
 
 
@@ -262,59 +251,71 @@ def run_dynamics(
     return _series(plan, runner(n, j, plan, init))
 
 
-def _noisy_trajectory(
-    step: Circuit | NativeCircuit,
-    num_steps: int,
-    noise: NoiseModel,
-    init_state: np.ndarray | None,
-) -> np.ndarray:
-    """Repeat the step circuit num_steps times; m_s per shot per step.
+def _gates(c: Circuit | NativeCircuit) -> list:
+    """c's native gates, each with its matrix."""
+    native = to_native(c) if isinstance(c, Circuit) else c
+    return [(g, native_gate_matrix(g)) for g in native.gates]
 
-    Noise acts on the step's native expansion. Returns shape
-    (num_steps + 1, shots), row 0 for the initial state (Neel when None).
-    Shot s consumes exactly the (num_steps * len(gates), 2) uniform block of
-    default_rng(seed + s), so results are independent of chunked batching
-    over shots and over steps.
+
+def _pauli_errors(states: np.ndarray, qubits: tuple, cols: np.ndarray, u: np.ndarray, n: int) -> None:
+    """Apply to each of the cols of states, in place, the non-identity Pauli
+    on qubits that u picks: the kron-order index, I X Y Z = 0..3 per qubit.
+
+    X flips the qubit's bit, Z the sign where it is 1, and Y = iXZ does both
+    with the exact factor i, so each amplitude equals the Pauli matrix's.
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    native = to_native(step) if isinstance(step, Circuit) else step
-    n = native.num_qubits
-    init = _initial_state(n, init_state)
-    gates = [(g, native_gate_matrix(g)) for g in native.gates]
-    values = np.empty((num_steps + 1, noise.shots))
+    count = 4 ** len(qubits) - 1
+    pauli = np.minimum((u * count).astype(int), count - 1) + 1
+    rows = np.arange(states.shape[0])
+    for q in reversed(qubits):
+        code, pauli = pauli % 4, pauli // 4
+        bit = 1 << (n - 1 - q)
+        states[np.ix_(np.flatnonzero(rows & bit), cols[code >= 2])] *= -1
+        x = cols[(code == 1) | (code == 2)]
+        states[:, x] = states[np.ix_(rows ^ bit, x)]
+        states[:, cols[code == 2]] *= 1j
+
+
+def _noisy_values(blocks, num_blocks: int, noise: NoiseModel, init: np.ndarray, restart: bool) -> np.ndarray:
+    """m_s per shot: row 0 for init, row k after the k-th of the num_blocks
+    gate lists that blocks() yields (called once per chunk of shots).
+
+    Shot s reads one uniform pair per gate from default_rng(seed + s): does
+    the gate err, and with which Pauli. With restart each block runs from
+    init and reads the stream from its start, else from where the last left
+    off. A chunk draws the stream once and extends it as blocks need, without
+    restart in runs of blocks within _DRAW_BYTES (at least one block).
+    """
+    n = init.shape[0].bit_length() - 1
+    values = np.empty((num_blocks + 1, noise.shots))
     for base in range(0, noise.shots, _NOISE_CHUNK):
         count = min(_NOISE_CHUNK, noise.shots - base)
         rngs = [np.random.default_rng(noise.seed + base + s) for s in range(count)]
-        block_steps = max(1, _DRAW_BYTES // (count * max(1, len(gates)) * 2 * 8))
+        # draws[:, i] is the stream's pair start + i
+        draws, start, pos = np.empty((count, 0, 2)), 0, 0
         states = np.repeat(init[:, None], count, axis=1)
         values[0, base : base + count] = staggered_magnetization(states)
-        for step in range(num_steps):
-            if step % block_steps == 0:
-                size = min(block_steps, num_steps - step) * len(gates)
-                draws = np.empty((count, size, 2))
+        for k, gates in enumerate(blocks(), 1):
+            if restart:
+                states, pos = np.repeat(init[:, None], count, axis=1), 0
+            kept = start + draws.shape[1] - pos
+            if len(gates) > kept:
+                runs = max(1, _DRAW_BYTES // (count * len(gates) * 2 * 8))
+                runs = 1 if restart else min(runs, num_blocks - k + 1)
+                fresh = np.empty((count, runs * len(gates), 2))
+                fresh[:, :kept] = draws[:, pos - start :]
                 for s, rng in enumerate(rngs):
-                    draws[s] = rng.random((size, 2))
+                    fresh[s, kept:] = rng.random((fresh.shape[1] - kept, 2))
+                draws, start = fresh, pos
             for gi, (g, mat) in enumerate(gates):
                 states = _dense.apply_gate(states, mat, g.qubits, n)
-                di = step % block_steps * len(gates) + gi
                 p = noise.p2 if g.kind == "cx" else noise.p1
-                if p <= 0.0:
-                    continue
-                hit = draws[:, di, 0] < p
-                if not hit.any():
-                    continue
-                errors = _PAIR_ERRORS if g.kind == "cx" else _SINGLE_ERRORS
-                choice = np.minimum(
-                    (draws[:, di, 1] * len(errors)).astype(int), len(errors) - 1
-                )
-                for v, pauli in enumerate(errors):
-                    cols = hit & (choice == v)
-                    if cols.any():
-                        states[:, cols] = _dense.apply_gate(
-                            states[:, cols], pauli, g.qubits, n
-                        )
-            values[step + 1, base : base + count] = staggered_magnetization(states)
+                u = draws[:, pos - start + gi]
+                cols = np.flatnonzero(u[:, 0] < p)
+                if cols.size:
+                    _pauli_errors(states, g.qubits, cols, u[cols, 1], n)
+            pos += len(gates)
+            values[k, base : base + count] = staggered_magnetization(states)
     return values
 
 
@@ -336,7 +337,8 @@ def run_noisy(
     shots: shot s consumes exactly the (len(gates), 2) uniform block of
     default_rng(seed + s), independent of batching.
     """
-    return _mean_stderr(_noisy_trajectory(c, 1, noise, init_state)[1], noise.shots)
+    gates, init = _gates(c), _initial_state(c.num_qubits, init_state)
+    return _mean_stderr(_noisy_values(lambda: [gates], 1, noise, init, restart=True)[1], noise.shots)
 
 
 def run_noisy_series(
@@ -351,5 +353,27 @@ def run_noisy_series(
     The final row equals run_noisy on the num_steps-fold circuit because the
     per-shot uniform stream is consumed identically.
     """
-    values = _noisy_trajectory(step, num_steps, noise, init_state)
+    if num_steps < 1:
+        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    gates, init = _gates(step), _initial_state(step.num_qubits, init_state)
+    values = _noisy_values(lambda: itertools.repeat(gates, num_steps), num_steps, noise, init, restart=False)
     return [_mean_stderr(row, noise.shots) for row in values]
+
+
+def run_noisy_dynamics(
+    n: int, j: CouplingParams, plan: TrotterPlan, mode: str, noise: NoiseModel,
+    init_state: np.ndarray | None = None,
+) -> ObservableSeries:
+    """Mean noisy m_s per step: trotter repeats one noisy step, compressed runs
+    each step's block from the initial state (run_noisy), whose m_s is row 0."""
+    init = _initial_state(n, init_state)
+    if mode == "trotter":
+        step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+        means = [mean for mean, _ in run_noisy_series(step, plan.num_steps, noise, init)]
+    elif mode == "compressed":
+        blocks = lambda: map(_gates, compressed_steps(n, j, plan))  # noqa: E731
+        values = _noisy_values(blocks, plan.num_steps, noise, init, restart=True)
+        means = [staggered_magnetization(init), *(row.mean() for row in values[1:])]
+    else:
+        raise ValueError(f"noisy mode must be trotter or compressed, got {mode!r}")
+    return _series(plan, means)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .propagators import RGateParams
 
@@ -372,6 +371,9 @@ def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
 
 
 def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, RelationReport]:
+    # imported here so that a run which never needs the fallback never loads scipy
+    from scipy.optimize import least_squares
+
     target = triple_unitary(t, form)
     out_form = form.opposite
 

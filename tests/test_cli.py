@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -186,6 +189,40 @@ def test_negative_seed_exit_2_before_anything_is_written(tmp_path, capsys):
         assert captured.out == ""
         assert "seed must be >= 0" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "good.json"]
+
+
+def test_evolve_seed_without_a_noise_block_exit_2(tmp_path, capsys):
+    # a seed with nothing to override is a conflicting argument, not ignored
+    cfg = write_config(tmp_path)
+    argv = ["evolve", "--config", str(cfg), "--mode", "trotter", "--out", str(tmp_path / "m.csv")]
+    assert main(argv + ["--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed needs a config with a 'noise' block\n"
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+@pytest.mark.parametrize("spins", [-3, 0, 1])
+@pytest.mark.parametrize(
+    "argv", [["compress", "--qasm-out", "out.qasm"], ["evolve", "--mode", "exact"]]
+)
+def test_spins_below_two_exit_2_with_one_message(spins, argv, tmp_path, capsys):
+    cfg = write_config(tmp_path, spins=spins)
+    argv = [str(tmp_path / a) if a.endswith(".qasm") else a for a in argv]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config field 'spins' must be at least 2, got {spins}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize backs only the bridge solver's numeric fallback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, spinchain.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,11 @@ from spinchain.simulator import (
     apply_circuit,
     basis_state,
     build_hamiltonian,
+    compressed_steps,
     neel_state,
     run_dynamics,
     run_noisy,
+    run_noisy_dynamics,
     run_noisy_series,
     staggered_magnetization,
 )
@@ -243,3 +245,56 @@ def test_heavy_depolarizing_noise_scrambles_to_zero():
     c = build_trotter_circuit(3, CouplingParams(-0.8, -0.2, 0.0), TrotterPlan(1.0, 0.05))
     mean, err = run_noisy(c, NoiseModel(0.0, 1.0, 600, 9))
     assert abs(mean) < 3 * err + 1e-9
+
+
+def test_noisy_compressed_rows_equal_run_noisy_on_each_block(monkeypatch):
+    # every step block runs from the initial state and reads each shot's
+    # stream from its start; the blocks' native gate counts differ, so the
+    # chunk's stream prefix must be extended, and chunks smaller than the
+    # shot count must not change any row
+    n, j, plan = 3, CouplingParams(0.6, -0.4, 0.0), TrotterPlan(0.6, 0.1)
+    init = basis_state(n, "011")
+    blocks = list(compressed_steps(n, j, plan))
+    assert len({len(to_native(c).gates) for c in blocks}) > 1
+    for p1, p2 in ((0.05, 0.1), (1.0, 1.0)):
+        noise = NoiseModel(p1, p2, 7, 4)
+        whole = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
+        monkeypatch.setattr(simulator, "_NOISE_CHUNK", 3)
+        series = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
+        monkeypatch.undo()
+        assert series == whole
+        assert series.rows[0][2] == staggered_magnetization(init)
+        for (_, _, m), block in zip(series.rows[1:], blocks, strict=True):
+            assert m == run_noisy(block, noise, init)[0]
+
+
+def test_run_noisy_dynamics_rejects_noiseless_modes():
+    with pytest.raises(ValueError, match="trotter or compressed"):
+        run_noisy_dynamics(3, CouplingParams(1.0, 0.0, 0.0), TrotterPlan(0.1, 0.1), "exact",
+                           NoiseModel(0.1, 0.1, 4, 0))
+
+
+@pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 1), (1, 2)])
+def test_pauli_errors_match_the_kron_pauli_matrices(qubits):
+    # each non-identity Pauli, in kron order with I, X, Y, Z as digits, is a
+    # dense 8x8 matrix here; the bit and sign flips must give every amplitude,
+    # so every |amplitude|^2, exactly, and leave the unhit columns alone
+    n = 3
+    paulis = [np.eye(2, dtype=complex), SX, SY, SZ]
+    rng = np.random.default_rng(SEED)
+    for index in range(1, 4 ** len(qubits)):
+        digits = [(index >> (2 * (len(qubits) - 1 - i))) & 3 for i in range(len(qubits))]
+        factors = [np.eye(2, dtype=complex)] * n
+        for q, d in zip(qubits, digits):
+            factors[q] = paulis[d]
+        dense = factors[0]
+        for f in factors[1:]:
+            dense = np.kron(dense, f)
+        states = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+        expected = states.copy()
+        cols = np.array([0, 2, 3])
+        expected[:, cols] = dense @ states[:, cols]
+        u = np.full(cols.size, (index - 0.5) / (4 ** len(qubits) - 1))
+        simulator._pauli_errors(states, qubits, cols, u, n)
+        assert np.array_equal(np.abs(states) ** 2, np.abs(expected) ** 2)
+        assert np.array_equal(states, expected)
