@@ -11,8 +11,6 @@ import numpy as np
 from . import _dense
 from .propagators import (
     CONJUGATION_TAGS,
-    CX_MATRIX,
-    CX_REVERSED_MATRIX,
     GATE_KINDS,
     SANDWICH,
     Angles3,
@@ -100,8 +98,6 @@ def build_trotter_circuit(n: int, j: CouplingParams, plan: TrotterPlan) -> Circu
     Every gate carries the same step angles theta = J * dt. Gate count per
     step is n - 1.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
     angles = step_angles(j, plan.dt)
     step = tuple(PairGate(pair, angles) for parity in (0, 1) for pair in range(parity, n - 1, 2))
     return Circuit(n, step * plan.num_steps)
@@ -116,22 +112,18 @@ def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {n}")
     u = np.eye(2 ** n, dtype=complex)
-    for qubits, m in _fused_ops(c):
-        u = _dense.apply_gate(u, m, qubits, n)
+    for low, m in _fused_ops(c):
+        u = _dense.apply_gate(u, m, low)
     return u
 
 
-def _local_ops(c: Circuit | NativeCircuit):
+def local_ops(c: Circuit | NativeCircuit):
     """(lowest qubit, 2x2 or 4x4 matrix) per gate; a 4x4 acts on (q, q + 1)."""
     for g in c.gates:
         if isinstance(g, PairGate):
             yield g.pair, g.unitary()
-        elif g.kind == "cx":
-            control, target = g.qubits
-            # control on the higher qubit: CX conjugated by SWAP
-            yield min(g.qubits), CX_MATRIX if control < target else CX_REVERSED_MATRIX
         else:
-            yield g.qubits[0], native_gate_matrix(g)
+            yield min(g.qubits), native_gate_matrix(g)
 
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -145,7 +137,7 @@ def _on_local(m: np.ndarray, local: int, block: np.ndarray) -> np.ndarray:
 
 
 def _fused_ops(c: Circuit | NativeCircuit):
-    """The circuit as (qubits, matrix) ops on one qubit or one adjacent pair.
+    """The circuit as (lowest qubit, matrix) ops on one qubit or one adjacent pair.
 
     Single-qubit gates collect per qubit; a two-qubit gate on pair p extends
     the open 4x4 block on p, or closes the blocks on p - 1 and p + 1 and opens
@@ -155,7 +147,7 @@ def _fused_ops(c: Circuit | NativeCircuit):
     """
     singles: dict[int, np.ndarray] = {}
     blocks: dict[int, np.ndarray] = {}
-    for q, m in _local_ops(c):
+    for q, m in local_ops(c):
         if m.shape[0] == 2:
             if q in blocks:
                 blocks[q] = _on_local(m, 0, blocks[q])
@@ -168,16 +160,14 @@ def _fused_ops(c: Circuit | NativeCircuit):
         else:
             for p in (q - 1, q + 1):
                 if p in blocks:
-                    yield (p, p + 1), blocks.pop(p)
+                    yield p, blocks.pop(p)
             block = _EYE4
             for local in (0, 1):
                 if q + local in singles:
                     block = _on_local(singles.pop(q + local), local, block)
             blocks[q] = m @ block
-    for p, block in blocks.items():
-        yield (p, p + 1), block
-    for q, m in singles.items():
-        yield (q,), m
+    yield from blocks.items()
+    yield from singles.items()
 
 
 def _pair_gate_native(g: PairGate) -> GateSequence:

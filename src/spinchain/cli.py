@@ -174,6 +174,8 @@ def _cmd_evolve(args) -> int:
     mode = args.mode or cfg.mode
     noise = cfg.noise
     if args.seed is not None:
+        if mode not in ("trotter", "compressed"):
+            raise ConfigError("--seed needs mode trotter or compressed, the modes with a noisy series")
         if noise is None:
             raise ConfigError("--seed needs a config with a 'noise' block")
         noise = NoiseModel(noise.p1, noise.p2, noise.shots, args.seed)

@@ -56,7 +56,7 @@ class CompressedBlock:
         gates = tuple(g for slot in self.slots for g in slot)
         object.__setattr__(self, "circuit", Circuit(n, gates))
         if self.klass is HamiltonianClass.XYZ:
-            raise UnsupportedClassError("blocks cannot carry the three-parameter class")
+            raise UnsupportedClassError("three-axis couplings are outside the compressible families")
         bound = n * (n - 1) // 2
         if len(gates) > bound:
             raise ValueError(f"{len(gates)} gates exceed the {bound}-gate bound")
@@ -255,10 +255,7 @@ def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlo
 def _detect_class(c: Circuit) -> HamiltonianClass:
     """The class of the per-axis peak angles over every gate."""
     peaks = (max(map(abs, axis)) for axis in zip(*(_angles(g).as_tuple() for g in c.gates)))
-    klass = classify(CouplingParams(*peaks))
-    if klass is HamiltonianClass.XYZ:
-        raise UnsupportedClassError("three-axis couplings are outside the compressible families")
-    return klass
+    return classify(CouplingParams(*peaks))
 
 
 def _columns(c: Circuit) -> list[list[PairGate]]:

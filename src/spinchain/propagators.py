@@ -102,7 +102,8 @@ CX_REVERSED_MATRIX = np.array(
 
 
 def native_gate_matrix(gate: NativeGate) -> np.ndarray:
-    """The gate's unitary on its own qubits (2x2, or 4x4 for cx in qubit order)."""
+    """The gate's unitary on its qubits in ascending order: 2x2, or 4x4 for a
+    cx, which is CX_REVERSED_MATRIX when the control is the higher qubit."""
     if gate.kind == "rx":
         return rx_matrix(gate.angle)
     if gate.kind == "rz":
@@ -111,7 +112,7 @@ def native_gate_matrix(gate: NativeGate) -> np.ndarray:
         return H_MATRIX
     if gate.kind == "s":
         return S_MATRIX
-    return CX_MATRIX
+    return CX_MATRIX if gate.qubits[0] < gate.qubits[1] else CX_REVERSED_MATRIX
 
 
 def xyz_propagator(a: Angles3) -> np.ndarray:
@@ -231,10 +232,8 @@ def sequence_unitary(seq: GateSequence) -> np.ndarray:
     """Evaluate a two-qubit native sequence to its 4x4 unitary (time order)."""
     u = np.eye(4, dtype=complex)
     for gate in seq:
-        if gate.kind == "cx":
-            g = CX_MATRIX if gate.qubits == (0, 1) else CX_REVERSED_MATRIX
-        else:
-            m = native_gate_matrix(gate)
-            g = np.kron(m, np.eye(2)) if gate.qubits == (0,) else np.kron(np.eye(2), m)
+        g = native_gate_matrix(gate)
+        if gate.kind != "cx":
+            g = np.kron(g, np.eye(2)) if gate.qubits == (0,) else np.kron(np.eye(2), g)
         u = g @ u
     return u

@@ -17,13 +17,12 @@ from .circuit_ir import (
     MAX_DENSE_QUBITS,
     Circuit,
     NativeCircuit,
-    PairGate,
     build_trotter_circuit,
+    local_ops,
     to_native,
 )
-from .compressor import UnsupportedClassError, absorb_layer, empty_block, pad_to_template
-from .propagators import native_gate_matrix
-from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, classify
+from .compressor import absorb_layer, empty_block, pad_to_template
+from .spin_model import CouplingParams, TrotterPlan, classify
 
 MODES = ("exact", "trotter", "compressed")
 
@@ -89,11 +88,8 @@ def apply_circuit(state: np.ndarray, c: Circuit | NativeCircuit) -> np.ndarray:
         raise ValueError(
             f"state has dimension {out.shape[0]}, circuit needs {dim}"
         )
-    for g in c.gates:
-        if isinstance(g, PairGate):
-            out = _dense.apply_gate(out, g.unitary(), (g.pair, g.pair + 1), c.num_qubits)
-        else:
-            out = _dense.apply_gate(out, native_gate_matrix(g), g.qubits, c.num_qubits)
+    for low, m in local_ops(c):
+        out = _dense.apply_gate(out, m, low)
     return out
 
 
@@ -206,13 +202,8 @@ def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[C
     block is padded with identity gates to the full template. Raises
     UnsupportedClassError for three-axis couplings.
     """
-    klass = classify(j)
-    if klass is HamiltonianClass.XYZ:
-        raise UnsupportedClassError(
-            "three-axis couplings are outside the compressible families"
-        )
     layer = list(build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt)).gates)
-    block = empty_block(n, klass)
+    block = empty_block(n, classify(j))
     for _ in range(plan.num_steps):
         block = absorb_layer(block, layer)
         yield pad_to_template(block).circuit
@@ -252,9 +243,10 @@ def run_dynamics(
 
 
 def _gates(c: Circuit | NativeCircuit) -> list:
-    """c's native gates, each with its matrix."""
+    """c's native gates as (qubits, lowest qubit, matrix); a Pauli error reads
+    its kron-order index over qubits as listed, control first for a cx."""
     native = to_native(c) if isinstance(c, Circuit) else c
-    return [(g, native_gate_matrix(g)) for g in native.gates]
+    return [(g.qubits, *op) for g, op in zip(native.gates, local_ops(native))]
 
 
 def _pauli_errors(states: np.ndarray, qubits: tuple, cols: np.ndarray, u: np.ndarray, n: int) -> None:
@@ -307,13 +299,13 @@ def _noisy_values(blocks, num_blocks: int, noise: NoiseModel, init: np.ndarray, 
                 for s, rng in enumerate(rngs):
                     fresh[s, kept:] = rng.random((fresh.shape[1] - kept, 2))
                 draws, start = fresh, pos
-            for gi, (g, mat) in enumerate(gates):
-                states = _dense.apply_gate(states, mat, g.qubits, n)
-                p = noise.p2 if g.kind == "cx" else noise.p1
+            for gi, (qubits, low, mat) in enumerate(gates):
+                states = _dense.apply_gate(states, mat, low)
+                p = noise.p2 if len(qubits) == 2 else noise.p1
                 u = draws[:, pos - start + gi]
                 cols = np.flatnonzero(u[:, 0] < p)
                 if cols.size:
-                    _pauli_errors(states, g.qubits, cols, u[cols, 1], n)
+                    _pauli_errors(states, qubits, cols, u[cols, 1], n)
             pos += len(gates)
             values[k, base : base + count] = staggered_magnetization(states)
     return values

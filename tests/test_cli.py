@@ -202,6 +202,18 @@ def test_evolve_seed_without_a_noise_block_exit_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
+@pytest.mark.parametrize("mode", ["exact", "all"])
+def test_evolve_seed_without_a_noisy_series_exit_2(mode, tmp_path, capsys):
+    # only trotter and compressed write .noisy, so a seed in another mode feeds nothing
+    cfg = write_config(tmp_path, noise={"p2": 0.01, "shots": 4, "seed": 5})
+    argv = ["evolve", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / "m.csv")]
+    assert main(argv + ["--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed ")
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
 @pytest.mark.parametrize("spins", [-3, 0, 1])
 @pytest.mark.parametrize(
     "argv", [["compress", "--qasm-out", "out.qasm"], ["evolve", "--mode", "exact"]]

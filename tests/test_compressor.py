@@ -28,6 +28,7 @@ from spinchain.compressor import (
     pad_to_template,
 )
 from spinchain.propagators import RGateParams
+from spinchain.simulator import compressed_steps
 from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
 
 TRIALS = 100
@@ -128,6 +129,19 @@ def test_compress_rejects_three_axis_class():
     c = build_trotter_circuit(3, CouplingParams(1.0, 0.8, 0.6), TrotterPlan(0.1, 0.05))
     with pytest.raises(UnsupportedClassError):
         compress(c)
+
+
+def test_three_axis_couplings_raise_one_message():
+    # the block owns the rule; compress and the compressed-step stream reach it
+    j, plan = CouplingParams(1.0, 0.8, 0.6), TrotterPlan(0.1, 0.05)
+    message = "^three-axis couplings are outside the compressible families$"
+    for call in (
+        lambda: compress(build_trotter_circuit(3, j, plan)),
+        lambda: next(compressed_steps(3, j, plan)),
+        lambda: empty_block(3, HamiltonianClass.XYZ),
+    ):
+        with pytest.raises(UnsupportedClassError, match=message):
+            call()
 
 
 def test_compress_rejects_mixed_classes():

@@ -79,9 +79,9 @@ def test_cx_matrices_flip_target():
 def test_native_gate_matrix_dispatch():
     g = NativeGate("rx", (0,), 0.4)
     assert np.allclose(native_gate_matrix(g), rx_matrix(0.4))
-    # cx matrix is in gate qubit order (control first); orientation is the
-    # applier's job, so reversed-control placement shows up via sequence_unitary
-    assert np.allclose(native_gate_matrix(NativeGate("cx", (1, 0))), CX_MATRIX)
+    # the matrix acts on the gate's qubits in ascending order, so a cx whose
+    # control is the higher qubit comes back reversed
+    assert np.allclose(native_gate_matrix(NativeGate("cx", (1, 0))), CX_REVERSED_MATRIX)
     u = sequence_unitary((NativeGate("cx", (1, 0)),))
     assert np.allclose(u, CX_REVERSED_MATRIX)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinchain import simulator
-from spinchain.circuit_ir import Circuit, PairGate, build_trotter_circuit, to_native, unitary_of
+from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, to_native, unitary_of
 from spinchain.compressor import UnsupportedClassError
 from spinchain.simulator import (
     NoiseModel,
@@ -21,6 +21,7 @@ from spinchain.simulator import (
     run_noisy_series,
     staggered_magnetization,
 )
+from spinchain.propagators import NativeGate
 from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan
 
 TRIALS = 40
@@ -298,3 +299,18 @@ def test_pauli_errors_match_the_kron_pauli_matrices(qubits):
         simulator._pauli_errors(states, qubits, cols, u, n)
         assert np.array_equal(np.abs(states) ** 2, np.abs(expected) ** 2)
         assert np.array_equal(states, expected)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cx_with_the_higher_control_matches_the_kron_oracle(n):
+    # cx on (q + 1, q): control is the right factor of the pair, so the
+    # pair matrix is |0><0| x I + |1><1| x X on (q, q + 1)
+    rng = np.random.default_rng(SEED + n)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for q in range(n - 1):
+        pair = np.kron(np.eye(2), p0) + np.kron(SX, p1)
+        oracle = np.kron(np.kron(np.eye(2 ** q), pair), np.eye(2 ** (n - q - 2)))
+        c = NativeCircuit(n, (NativeGate("cx", (q + 1, q)),))
+        state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        assert np.array_equal(unitary_of(c), oracle)
+        assert np.array_equal(apply_circuit(state, c), oracle @ state)
