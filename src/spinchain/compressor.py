@@ -10,12 +10,17 @@ Internally a circuit is tracked as a word of letters [pair, gamma, delta]
 together with the permutation its pair swaps generate. A new gate either
 extends the word (the permutation grows) or, after rewriting the word to end
 on the same pair, merges into the last letter (the permutation is already
-saturated there). Emission peels the permutation back into template slots.
+saturated there). Once the permutation is the full reversal, the word is
+kept in canonical triangle order, through which a gate on pair j descends
+in j bridge moves before it merges. Emission peels the permutation back into
+template slots.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -117,13 +122,23 @@ def merge(a: PairGate, b: PairGate) -> PairGate:
 
 
 class _WordEngine:
-    """Mutable word-and-permutation state of one block, rewritten in place."""
+    """Mutable word-and-permutation state of one block, rewritten in place.
+
+    The word grows while gates extend the permutation. Once it holds all
+    N(N-1)/2 letters it is respelled once into triangle order, row k being
+    the letters on pairs k, k-1, ..., 0 for k = 0 .. N-2, and each later gate
+    descends the triangle (_fall).
+    """
 
     def __init__(self, block: CompressedBlock) -> None:
-        self.perm = list(range(block.num_qubits))
+        n = block.num_qubits
+        self.klass = block.klass
+        self.perm = list(range(n))
         self.word: list[list] = []
         self.residual = block.residual
-        self.moves = 0
+        self.moves = block.ybe_moves
+        self.full = n * (n - 1) // 2
+        self.triangle = False
         for g in block.circuit.gates:
             if not self._ascend(g.pair, g.params.gamma, g.params.delta):
                 raise ValueError("block word is not reduced; cannot reload")
@@ -135,12 +150,10 @@ class _WordEngine:
         self.word.append([j, gamma, delta])
         return True
 
-    def _braid(self, q: int) -> None:
-        # time-ordered letters f@j, h@i, g@j at q-2..q with |i-j| = 1 become
-        # a@i, b@j, c@i; the mirrored output triple solves both layout
-        # orientations, so one solver direction covers j < i and j > i alike
-        w = self.word
-        f, h, g = w[q - 2], w[q - 1], w[q]
+    def _turn(self, f: list, h: list, g: list) -> tuple[list, list, list]:
+        # time-ordered letters f@j, h@i, g@j with |i-j| = 1 become a@i, b@j,
+        # c@i; the mirrored output triple solves both layout orientations, so
+        # one solver direction covers j < i and j > i alike
         sol = solve(YbeTriple.from_angles(((g[1], g[2]), (h[1], h[2]), (f[1], f[2]))))
         self.residual += sol.residual
         self.moves += 1
@@ -149,7 +162,11 @@ class _WordEngine:
                 f"accumulated residual {self.residual:.3e} exceeds {RESIDUAL_BUDGET:g}"
             )
         r = sol.triple.angles()
-        w[q - 2], w[q - 1], w[q] = [h[0], *r[2]], [f[0], *r[1]], [h[0], *r[0]]
+        return [h[0], *r[2]], [f[0], *r[1]], [h[0], *r[0]]
+
+    def _braid(self, q: int) -> None:
+        w = self.word
+        w[q - 2], w[q - 1], w[q] = self._turn(w[q - 2], w[q - 1], w[q])
 
     def _mew(self, end: int, i: int) -> None:
         # rewrite word[:end] in place to end on pair i; precondition: after
@@ -171,24 +188,67 @@ class _WordEngine:
         if q != end:
             w.insert(end - 1, w.pop(q - 1))
 
-    def absorb(self, j: int, gamma: float, delta: float) -> None:
-        if not self._ascend(j, gamma, delta):
-            self._mew(len(self.word), j)
-            self.word[-1][1] += gamma
-            self.word[-1][2] += delta
-
-    def emit(self) -> list[list[list[float]]]:
-        """Respell the word right-to-left into the alternating-slot template."""
-        slots = _peel_template(self.perm, len(self.perm))
-        if slots is None:
-            raise RuntimeError(f"template peel failed for permutation {self.perm}")
-        order = [j for s in slots for j in reversed(s)]
+    def _respell(self, order: list[int]) -> None:
+        # rewrite the word right to left into order, a reduced word of perm
         if len(order) != len(self.word):
             raise RuntimeError("emission left letters behind")
         for end in range(len(order), 0, -1):
             self._mew(end, order[end - 1])
-        letters = ([j, float(wrap_angle(g)), float(wrap_angle(d))] for j, g, d in self.word)
-        return [list(islice(letters, len(s))) for s in slots]
+
+    def _fall(self, j: int, gamma: float, delta: float) -> None:
+        # a letter on pair j after row r commutes past the row's pairs j-2 .. 0
+        # and meets its letters on j, j-1; one braid keeps the row's shape and
+        # sends a letter on pair j-1 left out of the row, past its pairs above
+        # j, to the end of row r-1. On pair 0 it merges into the row's last letter.
+        w = self.word
+        letter = [j, gamma, delta]
+        r = len(self.perm) - 2
+        while letter[0]:
+            at = r * (r + 1) // 2 + r - letter[0]
+            letter, w[at], w[at + 1] = self._turn(w[at], w[at + 1], letter)
+            r -= 1
+        self._merge(w[r * (r + 3) // 2], letter[1], letter[2])
+
+    @staticmethod
+    def _merge(letter: list, gamma: float, delta: float) -> None:
+        # wrapped: row 0's letter takes merges and no braid for the whole
+        # session, and unwrapped sums would lose precision as they grow
+        letter[1] = wrap_angle(letter[1] + gamma)
+        letter[2] = wrap_angle(letter[2] + delta)
+
+    def absorb(self, g: PairGate) -> None:
+        j, gamma, delta = g.pair, *_r_form_gate(g, self.klass)
+        if self.triangle:
+            self._fall(j, gamma, delta)
+        elif self._ascend(j, gamma, delta):
+            return
+        elif len(self.word) < self.full:
+            self._mew(len(self.word), j)
+            self._merge(self.word[-1], gamma, delta)
+        else:
+            n = len(self.perm)
+            self._respell([p for k in range(n - 1) for p in range(k, -1, -1)])
+            self.triangle = True
+            self._fall(j, gamma, delta)
+
+    def block(self) -> CompressedBlock:
+        """The block of the gates so far, emitted from a copy of the word so
+        that absorption can go on."""
+        twin = copy.copy(self)
+        twin.word = [list(letter) for letter in self.word]
+        slots = _peel_template(self.perm, len(self.perm))
+        if slots is None:
+            raise RuntimeError(f"template peel failed for permutation {self.perm}")
+        # respell right-to-left into the alternating-slot template
+        twin._respell([j for s in slots for j in reversed(s)])
+        conj = self.klass.family.conjugation
+        gates = (
+            PairGate(j, RGateParams(float(wrap_angle(gamma)), float(wrap_angle(delta))), conj)
+            for j, gamma, delta in twin.word
+        )
+        return CompressedBlock(
+            tuple(tuple(islice(gates, len(s))) for s in slots), self.klass, twin.residual, twin.moves
+        )
 
 
 def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
@@ -238,18 +298,22 @@ def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> Compres
 def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlock:
     """Fold one alternating layer of gates into the block.
 
-    layer is a time-ordered gate list sharing the block's class; the result
-    is re-emitted onto the template, so size bounds hold after every call.
+    layer is a time-ordered gate list sharing the block's class; the block is
+    reloaded into an engine and the result re-emitted onto the template.
     """
+    return next(absorb_steps(block, layer, 1))
+
+
+def absorb_steps(
+    block: CompressedBlock, step: Sequence[PairGate], num_steps: int
+) -> Iterator[CompressedBlock]:
+    """The block after each of num_steps absorptions of step, from one engine
+    session: each block is emitted from a copy, so the word is never reloaded."""
     eng = _WordEngine(block)
-    for g in layer:
-        eng.absorb(g.pair, *_r_form_gate(g, block.klass))
-    conj = block.conjugation
-    slots = tuple(
-        tuple(PairGate(j, RGateParams(gamma, delta), conj) for j, gamma, delta in letters)
-        for letters in eng.emit()
-    )
-    return CompressedBlock(slots, block.klass, eng.residual, block.ybe_moves + eng.moves)
+    for _ in range(num_steps):
+        for g in step:
+            eng.absorb(g)
+        yield eng.block()
 
 
 def _detect_class(c: Circuit) -> HamiltonianClass:
@@ -273,19 +337,20 @@ def _columns(c: Circuit) -> list[list[PairGate]]:
 
 
 def compress(c: Circuit) -> CompressedBlock:
-    """Absorb a whole circuit into one template block, two columns at a time.
+    """Absorb a whole circuit into one template block in one engine session.
 
-    The gate count of the result is at most N(N-1)/2 regardless of how many
+    Gates go in column order and the block is emitted once at the end. The
+    gate count of the result is at most N(N-1)/2 regardless of how many
     layers went in. Raises UnsupportedClassError for three-axis gate sets
     and propagates UnsolvedError from the bridge solver.
     """
     if not c.gates:
         return empty_block(c.num_qubits)
-    block = empty_block(c.num_qubits, _detect_class(c))
-    cols = _columns(c)
-    for start in range(0, len(cols), 2):
-        block = absorb_layer(block, [g for col in cols[start : start + 2] for g in col])
-    return block
+    eng = _WordEngine(empty_block(c.num_qubits, _detect_class(c)))
+    for col in _columns(c):
+        for g in col:
+            eng.absorb(g)
+    return eng.block()
 
 
 def pad_to_template(block: CompressedBlock) -> CompressedBlock:

@@ -21,7 +21,7 @@ from .circuit_ir import (
     local_ops,
     to_native,
 )
-from .compressor import absorb_layer, empty_block, pad_to_template
+from .compressor import absorb_steps, empty_block, pad_to_template
 from .spin_model import CouplingParams, TrotterPlan, classify
 
 MODES = ("exact", "trotter", "compressed")
@@ -198,14 +198,12 @@ def _trotter_series(n, j, plan, init):
 def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[Circuit]:
     """The compressed circuit after each of plan's steps, step 1 first.
 
-    Step k's Trotter layer is absorbed into the block of step k - 1, and the
-    block is padded with identity gates to the full template. Raises
-    UnsupportedClassError for three-axis couplings.
+    One engine session absorbs every step's Trotter layer; after each step a
+    copy of it is emitted and padded with identity gates to the full template.
+    Raises UnsupportedClassError for three-axis couplings.
     """
-    layer = list(build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt)).gates)
-    block = empty_block(n, classify(j))
-    for _ in range(plan.num_steps):
-        block = absorb_layer(block, layer)
+    layer = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt)).gates
+    for block in absorb_steps(empty_block(n, classify(j)), layer, plan.num_steps):
         yield pad_to_template(block).circuit
 
 

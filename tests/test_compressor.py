@@ -30,6 +30,7 @@ from spinchain.compressor import (
 from spinchain.propagators import RGateParams
 from spinchain.simulator import compressed_steps
 from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
+from spinchain.ybe import wrap_angle
 
 TRIALS = 100
 TOL = 1e-12
@@ -171,6 +172,18 @@ def test_absorb_layer_incremental_matches_compress():
     assert phase_distance(unitary_of(block.circuit), unitary_of(whole.circuit)) < 1e-9
 
 
+def test_long_merge_runs_keep_their_precision():
+    # every gate merges into one letter that no braid rewrites: on N=2 the
+    # triangle's row 0, on N=3 the unfilled word of a pair-0-only circuit.
+    # The merged angles must stay within rounding of the exact sums mod 2 pi.
+    steps = 50_000
+    a = Angles3(0.9, 0.3, 0.0)
+    for n in (2, 3):
+        (g,) = compress(Circuit(n, (PairGate(0, a),) * steps)).circuit.gates
+        for got, one in zip(g.params.as_tuple(), HamiltonianClass.XY.family.r_params(a)):
+            assert abs(wrap_angle(got - math.remainder(one * steps, 2 * math.pi))) < 1e-9
+
+
 def test_columns_pack_left_and_preserve_order():
     rng = np.random.default_rng(SEED + 3)
     for _ in range(60):
@@ -260,26 +273,36 @@ ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi)
 FAMILIES = [k for k in HamiltonianClass if k is not HamiltonianClass.XYZ]
 
 
+def family_gate(draw, klass, tagged, pair):
+    # a gate of the family as Angles3, or as RGateParams carrying the
+    # family's conjugation tag
+    a = Angles3(*(draw(ANGLES) if axis in klass.axes else 0.0 for axis in "xyz"))
+    if tagged:
+        return PairGate(pair, RGateParams(*klass.family.r_params(a)), klass.family.conjugation)
+    return PairGate(pair, a)
+
+
 @st.composite
 def family_circuits(draw):
-    # gates of one coupling family in any pair order, as Angles3 or as
-    # RGateParams carrying the family's conjugation tag
+    # gates of one coupling family in any pair order
     n = draw(st.integers(2, 6))
-    klass = draw(st.sampled_from(FAMILIES))
-    tagged = draw(st.booleans())
-    family = klass.family
-    gates = []
-    for pair in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=30)):
-        a = Angles3(*(draw(ANGLES) if axis in klass.axes else 0.0 for axis in "xyz"))
-        if tagged:
-            gates.append(PairGate(pair, RGateParams(*family.r_params(a)), family.conjugation))
-        else:
-            gates.append(PairGate(pair, a))
-    return Circuit(n, tuple(gates))
+    klass, tagged = draw(st.sampled_from(FAMILIES)), draw(st.booleans())
+    pairs = draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=30))
+    return Circuit(n, tuple(family_gate(draw, klass, tagged, p) for p in pairs))
 
 
-@given(family_circuits())
-def test_compress_property(c):
+@st.composite
+def triangle_circuits(draw):
+    # a full brickwork prefix of N columns fills the word with N(N-1)/2
+    # letters, so every later gate, on any pair, descends the triangle
+    n = draw(st.integers(2, 7))
+    klass, tagged = draw(st.sampled_from(FAMILIES)), draw(st.booleans())
+    pairs = [p for k in range(n) for p in range(k % 2, n - 1, 2)]
+    pairs += draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=20))
+    return Circuit(n, tuple(family_gate(draw, klass, tagged, p) for p in pairs))
+
+
+def check_compressed(c):
     n = c.num_qubits
     block = compress(c)
     assert phase_distance(unitary_of(block.circuit), unitary_of(c)) < PHASE_TOL
@@ -292,3 +315,48 @@ def test_compress_property(c):
     assert again.gate_count == block.gate_count
     assert again.alternating_layers == block.alternating_layers
     assert phase_distance(unitary_of(again.circuit), unitary_of(block.circuit)) < PHASE_TOL
+
+
+@given(family_circuits())
+def test_compress_property(c):
+    check_compressed(c)
+
+
+@given(triangle_circuits())
+def test_compress_triangle_property(c):
+    check_compressed(c)
+
+
+FAMILY_COUPLINGS = {
+    klass: CouplingParams(*(v if axis in klass.axes else 0.0 for axis, v in zip("xyz", (0.7, -0.45, 0.3))))
+    for klass in FAMILIES
+}
+
+
+def trotter_moves(n, j, steps, dt=0.05):
+    return compress(build_trotter_circuit(n, j, TrotterPlan(steps * dt, dt))).ybe_moves
+
+
+def test_turnovers_per_step_once_the_word_is_full():
+    # a brickwork of N columns only extends the word, and past that each
+    # Trotter step costs one descent of the triangle per gate: sum of j over
+    # pairs j = 0 .. N-2, that is (N-1)(N-2)/2 bridge moves
+    for n in range(2, 11):
+        per_step = (n - 1) * (n - 2) // 2
+        for j in FAMILY_COUPLINGS.values():
+            assert [trotter_moves(n, j, s) for s in range(1, n // 2 + 1)] == [0] * (n // 2)
+            moves = [trotter_moves(n, j, s) for s in (n, n + 1, n + 2)]
+            assert moves == [moves[0], moves[0] + per_step, moves[0] + 2 * per_step], (n, j)
+
+
+def test_compressed_steps_end_on_the_compressed_circuit():
+    # the stream and compress run one engine over the same gates in the same
+    # order, so the stream's last block is compress's, bit for bit
+    dt = 0.05
+    for n in range(2, 8):
+        for klass in (HamiltonianClass.X, HamiltonianClass.XY, HamiltonianClass.YZ):
+            j = FAMILY_COUPLINGS[klass]
+            for steps in sorted({1, 2, n, 3 * n}):
+                plan = TrotterPlan(steps * dt, dt)
+                *_, last = compressed_steps(n, j, plan)
+                assert last == pad_to_template(compress(build_trotter_circuit(n, j, plan))).circuit
