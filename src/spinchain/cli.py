@@ -18,7 +18,14 @@ from .circuit_ir import (
     unitary_of,
 )
 from .compressor import ResidualBudgetError, compress
-from .simulator import MODES as ENGINE_MODES, NoiseModel, basis_state, run_dynamics, run_noisy_dynamics
+from .simulator import (
+    MODES as ENGINE_MODES,
+    NOISY_MODES,
+    NoiseModel,
+    basis_state,
+    run_dynamics,
+    run_noisy_dynamics,
+)
 from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, step_angles
 from .ybe import UnsolvedError
 
@@ -174,8 +181,8 @@ def _cmd_evolve(args) -> int:
     mode = args.mode or cfg.mode
     noise = cfg.noise
     if args.seed is not None:
-        if mode not in ("trotter", "compressed"):
-            raise ConfigError("--seed needs mode trotter or compressed, the modes with a noisy series")
+        if mode not in NOISY_MODES:
+            raise ConfigError(f"--seed needs mode {' or '.join(NOISY_MODES)}, the modes with a noisy series")
         if noise is None:
             raise ConfigError("--seed needs a config with a 'noise' block")
         noise = NoiseModel(noise.p1, noise.p2, noise.shots, args.seed)
@@ -183,10 +190,10 @@ def _cmd_evolve(args) -> int:
     modes = ENGINE_MODES if mode == "all" else (mode,)
     if mode == "all" and args.out is None:
         raise ConfigError("--out is required with mode=all")
-    if noise is not None and mode in ("trotter", "compressed") and args.out is None:
+    if noise is not None and mode in NOISY_MODES and args.out is None:
         raise ConfigError("--out is required for the noisy companion series")
-    if args.qasm_out is not None and mode not in ("trotter", "compressed"):
-        raise ConfigError("--qasm-out needs mode trotter or compressed")
+    if args.qasm_out is not None and mode not in NOISY_MODES:
+        raise ConfigError(f"--qasm-out needs mode {' or '.join(NOISY_MODES)}")
     series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in modes}
     if mode == "all":
         out = Path(args.out)
@@ -196,7 +203,7 @@ def _cmd_evolve(args) -> int:
         sys.stdout.write(series[mode].to_csv())
     else:
         _write(Path(args.out), series[mode].to_csv())
-    if noise is not None and mode in ("trotter", "compressed"):
+    if noise is not None and mode in NOISY_MODES:
         noisy = run_noisy_dynamics(cfg.spins, cfg.j, cfg.plan, mode, noise, init_state=init)
         _write(_suffixed(Path(args.out), "noisy"), noisy.to_csv())
     if args.qasm_out is not None:

@@ -256,10 +256,16 @@ def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
     sigma = list(perm)
     slots: list[list[int]] = [[] for _ in range(n)]
     for k in range(n - 1, -1, -1):
+        slot = slots[k]
         for j in range(k % 2, n - 1, 2):
             if sigma[j] > sigma[j + 1]:
                 sigma[j], sigma[j + 1] = sigma[j + 1], sigma[j]
-                slots[k].append(j)
+                slot.append(j)
+        # two rounds in a row without a swap leave no descent at either
+        # parity: sigma is sorted, and scanning the rounds left would make a
+        # shallow block on a wide register cost O(n^2)
+        if not slot and k < n - 1 and not slots[k + 1]:
+            break
     return slots if sigma == sorted(sigma) else None
 
 
@@ -295,13 +301,11 @@ def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> Compres
     return CompressedBlock(((),) * n, klass, 0.0, 0)
 
 
-def absorb_layer(block: CompressedBlock, layer: list[PairGate]) -> CompressedBlock:
-    """Fold one alternating layer of gates into the block.
-
-    layer is a time-ordered gate list sharing the block's class; the block is
-    reloaded into an engine and the result re-emitted onto the template.
-    """
-    return next(absorb_steps(block, layer, 1))
+def absorb_layer(block: CompressedBlock, gates: Sequence[PairGate]) -> CompressedBlock:
+    """Fold gates, a time-ordered list sharing the block's class, into the
+    block: the block is reloaded into an engine, the gates are absorbed in
+    the order given and the result is emitted onto the template."""
+    return next(absorb_steps(block, gates, 1))
 
 
 def absorb_steps(
@@ -317,40 +321,22 @@ def absorb_steps(
 
 
 def _detect_class(c: Circuit) -> HamiltonianClass:
-    """The class of the per-axis peak angles over every gate."""
-    peaks = (max(map(abs, axis)) for axis in zip(*(_angles(g).as_tuple() for g in c.gates)))
+    """The class of the per-axis peak angles over every gate; a circuit with
+    no gates has all peaks zero, class X."""
+    angles = (_angles(g).as_tuple() for g in c.gates)
+    peaks = (max(map(abs, axis)) for axis in zip((0.0, 0.0, 0.0), *angles))
     return classify(CouplingParams(*peaks))
-
-
-def _columns(c: Circuit) -> list[list[PairGate]]:
-    """Left-packed columns: each gate joins the first column after every
-    earlier gate that shares a qubit with it."""
-    frontier = [0] * c.num_qubits
-    columns: list[list[PairGate]] = []
-    for g in c.gates:
-        depth = max(frontier[g.pair], frontier[g.pair + 1])
-        if depth == len(columns):
-            columns.append([])
-        columns[depth].append(g)
-        frontier[g.pair] = frontier[g.pair + 1] = depth + 1
-    return columns
 
 
 def compress(c: Circuit) -> CompressedBlock:
     """Absorb a whole circuit into one template block in one engine session.
 
-    Gates go in column order and the block is emitted once at the end. The
+    Gates go in the order given and the block is emitted once at the end. The
     gate count of the result is at most N(N-1)/2 regardless of how many
     layers went in. Raises UnsupportedClassError for three-axis gate sets
     and propagates UnsolvedError from the bridge solver.
     """
-    if not c.gates:
-        return empty_block(c.num_qubits)
-    eng = _WordEngine(empty_block(c.num_qubits, _detect_class(c)))
-    for col in _columns(c):
-        for g in col:
-            eng.absorb(g)
-    return eng.block()
+    return absorb_layer(empty_block(c.num_qubits, _detect_class(c)), c.gates)
 
 
 def pad_to_template(block: CompressedBlock) -> CompressedBlock:

@@ -26,6 +26,9 @@ from .spin_model import CouplingParams, TrotterPlan, classify
 
 MODES = ("exact", "trotter", "compressed")
 
+# the modes that run a gate circuit, and so have a noisy series
+NOISY_MODES = ("trotter", "compressed")
+
 _NOISE_CHUNK = 1024
 
 # ceiling on the uniform draws held at once by a chunk of noisy shots
@@ -365,5 +368,5 @@ def run_noisy_dynamics(
         values = _noisy_values(blocks, plan.num_steps, noise, init, restart=True)
         means = [staggered_magnetization(init), *(row.mean() for row in values[1:])]
     else:
-        raise ValueError(f"noisy mode must be trotter or compressed, got {mode!r}")
+        raise ValueError(f"noisy mode must be {' or '.join(NOISY_MODES)}, got {mode!r}")
     return _series(plan, means)

@@ -18,13 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .propagators import RGateParams
+from .spin_model import ZERO_TOL
 
 SOLVER_TOL = 1e-9
 FALLBACK_COST_TOL = 1e-18
 
 _FALLBACK_SEED = 11
 _FALLBACK_STARTS = 8
-_IDENTITY_TOL = 1e-12
 _WRAP_SNAP_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
@@ -356,7 +356,7 @@ def _analytic_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, Relatio
 def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
     # identity middle gate: the triple collapses to a merge of the outer gates
     (g1, d1), (g2, d2), (g3, d3) = t
-    if abs(wrap_angle(g2)) < _IDENTITY_TOL and abs(wrap_angle(d2)) < _IDENTITY_TOL:
+    if abs(wrap_angle(g2)) <= ZERO_TOL and abs(wrap_angle(d2)) <= ZERO_TOL:
         return ((0.0, 0.0), (wrap_angle(g1 + g3), wrap_angle(d1 + d3)), (0.0, 0.0))
     return None
 

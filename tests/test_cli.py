@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -539,6 +540,22 @@ def test_compress_rejects_a_qreg_longer_than_any_job(tmp_path, capsys):
             assert captured.err == ""
             assert json.loads(captured.out)["gates_after"] == 0
             assert from_qasm(shallow.read_text(encoding="utf-8")).num_qubits == MAX_PAIR_GATES + 1
+
+
+def test_compress_one_gate_on_a_wide_qreg_is_linear(tmp_path, capsys):
+    # the template peel stops once the permutation is sorted, so one gate on
+    # a 100,000-qubit qreg takes well under a second; scanning all N rounds
+    # would take minutes
+    n = 100_000
+    deep, shallow = tmp_path / "deep.qasm", tmp_path / "shallow.qasm"
+    deep.write_text(to_qasm(Circuit(n, (PairGate(54_321, Angles3(0.3, -0.2, 0.0)),))), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["compress", str(deep), "--qasm-out", str(shallow)]) == 0
+    assert time.perf_counter() - start < 30.0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["gates_before"], stats["gates_after"], stats["ybe_moves"]) == (1, 1, 0)
+    (g,) = recognize_pair_circuit(from_qasm(shallow.read_text(encoding="utf-8"))).gates
+    assert g.pair == 54_321
 
 
 def test_verify_pass_and_fail(tmp_path, capsys):

@@ -20,7 +20,7 @@ from spinchain.circuit_ir import (
 from spinchain.compressor import (
     CompressedBlock,
     UnsupportedClassError,
-    _columns,
+    _peel_template,
     absorb_layer,
     compress,
     empty_block,
@@ -164,12 +164,13 @@ def test_absorb_layer_incremental_matches_compress():
     n = 4
     c = random_xy_layers(rng, n, 6)
     whole = compress(c)
-    # fold the same columns one at a time by hand
-    block = empty_block(n, HamiltonianClass.XY)
-    for layer in _columns(c):
-        block = absorb_layer(block, layer)
-    assert block.gate_count == whole.gate_count
-    assert phase_distance(unitary_of(block.circuit), unitary_of(whole.circuit)) < 1e-9
+    # fold fixed-size chunks of the same gate list one at a time by hand
+    for size in (1, 2, 3, 5):
+        block = empty_block(n, HamiltonianClass.XY)
+        for start in range(0, len(c.gates), size):
+            block = absorb_layer(block, c.gates[start : start + size])
+        assert block.gate_count == whole.gate_count
+        assert phase_distance(unitary_of(block.circuit), unitary_of(whole.circuit)) < 1e-9
 
 
 def test_long_merge_runs_keep_their_precision():
@@ -184,32 +185,30 @@ def test_long_merge_runs_keep_their_precision():
             assert abs(wrap_angle(got - math.remainder(one * steps, 2 * math.pi))) < 1e-9
 
 
-def test_columns_pack_left_and_preserve_order():
+def _peel_all_rounds(perm: list[int], n: int) -> list[list[int]] | None:
+    # the peel before its early stop: every one of the n rounds scans all pairs
+    sigma = list(perm)
+    slots: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        for j in range(k % 2, n - 1, 2):
+            if sigma[j] > sigma[j + 1]:
+                sigma[j], sigma[j + 1] = sigma[j + 1], sigma[j]
+                slots[k].append(j)
+    return slots if sigma == sorted(sigma) else None
+
+
+def test_peel_template_matches_the_full_scan():
     rng = np.random.default_rng(SEED + 3)
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
-        gates = tuple(
-            PairGate(int(rng.integers(0, n - 1)), Angles3(*rng.uniform(-1.0, 1.0, 3)))
-            for _ in range(int(rng.integers(0, 20)))
-        )
-        columns = _columns(Circuit(n, gates))
-        flat = [g for col in columns for g in col]
-        assert sorted(map(id, flat)) == sorted(map(id, gates))
-        depth = {id(g): d for d, col in enumerate(columns) for g in col}
-        frontier = [0] * n
-        for g in gates:
-            # each gate sits in the first column after the gates it meets,
-            # so a column never holds two gates on one qubit
-            assert depth[id(g)] == max(frontier[g.pair], frontier[g.pair + 1])
-            frontier[g.pair] = frontier[g.pair + 1] = depth[id(g)] + 1
-        if gates:
-            reordered = Circuit(n, tuple(flat))
-            assert np.max(np.abs(unitary_of(reordered) - unitary_of(Circuit(n, gates)))) < TOL
-    # a Trotter circuit packs into its own even-pair and odd-pair columns
-    for n in range(2, 25):
-        c = build_trotter_circuit(n, CouplingParams(0.7, 0.0, 0.2), TrotterPlan(0.3, 0.1))
-        step = [[g for g in c.gates[: n - 1] if g.pair % 2 == parity] for parity in (0, 1)]
-        assert _columns(c) == [col for col in step if col] * 3
+    perms = [list(range(n)) for n in range(1, 13)] + [list(range(n))[::-1] for n in range(1, 13)]
+    perms += [rng.permutation(int(rng.integers(1, 13))).tolist() for _ in range(2000)]
+    # a few crossings on a wide register: the peel stops rounds before the end
+    for _ in range(500):
+        perm = list(range(int(rng.integers(2, 40))))
+        for j in rng.integers(0, len(perm) - 1, int(rng.integers(1, 4))):
+            perm[j], perm[j + 1] = perm[j + 1], perm[j]
+        perms.append(perm)
+    for perm in perms:
+        assert _peel_template(perm, len(perm)) == _peel_all_rounds(perm, len(perm))
 
 
 def test_pad_to_template_reaches_full_size():
