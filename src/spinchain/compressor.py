@@ -243,7 +243,7 @@ class _WordEngine:
         twin._respell([j for s in slots for j in reversed(s)])
         conj = self.klass.family.conjugation
         gates = (
-            PairGate(j, RGateParams(float(wrap_angle(gamma)), float(wrap_angle(delta))), conj)
+            PairGate(j, RGateParams(wrap_angle(gamma), wrap_angle(delta)), conj)
             for j, gamma, delta in twin.word
         )
         return CompressedBlock(
@@ -320,7 +320,7 @@ def absorb_steps(
         yield eng.block()
 
 
-def _detect_class(c: Circuit) -> HamiltonianClass:
+def detect_class(c: Circuit) -> HamiltonianClass:
     """The class of the per-axis peak angles over every gate; a circuit with
     no gates has all peaks zero, class X."""
     angles = (_angles(g).as_tuple() for g in c.gates)
@@ -336,7 +336,7 @@ def compress(c: Circuit) -> CompressedBlock:
     layers went in. Raises UnsupportedClassError for three-axis gate sets
     and propagates UnsolvedError from the bridge solver.
     """
-    return absorb_layer(empty_block(c.num_qubits, _detect_class(c)), c.gates)
+    return absorb_layer(empty_block(c.num_qubits, detect_class(c)), c.gates)
 
 
 def pad_to_template(block: CompressedBlock) -> CompressedBlock:

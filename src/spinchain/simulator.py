@@ -21,8 +21,8 @@ from .circuit_ir import (
     local_ops,
     to_native,
 )
-from .compressor import absorb_steps, empty_block, pad_to_template
-from .spin_model import CouplingParams, TrotterPlan, classify
+from .compressor import absorb_steps, detect_class, empty_block, pad_to_template
+from .spin_model import CouplingParams, TrotterPlan
 
 MODES = ("exact", "trotter", "compressed")
 
@@ -205,8 +205,8 @@ def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[C
     copy of it is emitted and padded with identity gates to the full template.
     Raises UnsupportedClassError for three-axis couplings.
     """
-    layer = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt)).gates
-    for block in absorb_steps(empty_block(n, classify(j)), layer, plan.num_steps):
+    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+    for block in absorb_steps(empty_block(n, detect_class(step)), step.gates, plan.num_steps):
         yield pad_to_template(block).circuit
 
 
@@ -358,7 +358,8 @@ def run_noisy_dynamics(
     init_state: np.ndarray | None = None,
 ) -> ObservableSeries:
     """Mean noisy m_s per step: trotter repeats one noisy step, compressed runs
-    each step's block from the initial state (run_noisy), whose m_s is row 0."""
+    each step's block from the initial state (_noisy_values with restart),
+    and row 0 is the initial state's m_s."""
     init = _initial_state(n, init_state)
     if mode == "trotter":
         step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))

@@ -151,28 +151,20 @@ class UnsolvedError(Exception):
         self.report = report
 
 
-def wrap_angle(x):
-    """Canonicalize angles to (-pi, pi].
+def wrap_angle(x: float) -> float:
+    """Canonicalize an angle to (-pi, pi].
 
     The result differs from x by a multiple of 2 pi: only values within
-    _WRAP_SNAP_TOL above -pi move to +pi. A Python float takes a math path
-    with the same bits as the array path.
+    _WRAP_SNAP_TOL above -pi move to +pi.
     """
-    if isinstance(x, (float, int)):
-        y = (float(x) + math.pi) % _TWO_PI - math.pi
-        return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
-    y = np.mod(np.asarray(x, dtype=float) + np.pi, _TWO_PI) - np.pi
-    y = np.where(np.abs(y + np.pi) <= _WRAP_SNAP_TOL, np.pi, y)
-    return y if y.ndim else float(y)
+    y = (float(x) + math.pi) % _TWO_PI - math.pi
+    return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
 
 
-def _coerce(t, form: YbeForm) -> AngleTriple:
-    if isinstance(t, YbeTriple):
-        if t.form is not form:
-            raise ValueError(f"expected a {form.value}-form triple, got {t.form.value}")
-        return t.angles()
-    pairs = [(g.gamma, g.delta) if isinstance(g, RGateParams) else g for g in t]
-    return YbeTriple.from_angles(pairs, form).pairs
+def _coerce(t: YbeTriple, form: YbeForm) -> AngleTriple:
+    if t.form is not form:
+        raise ValueError(f"expected a {form.value}-form triple, got {t.form.value}")
+    return t.angles()
 
 
 # The entries of R(gamma, delta) as ids of its distinct values: outer-block
@@ -201,8 +193,8 @@ def _layout(forms: tuple[YbeForm, ...]) -> np.ndarray:
 
 
 _LAYOUT = {form: _layout((form,)) for form in YbeForm}
-# a triple in one form and its mirror in the other, six gates in one table
-_PAIR_LAYOUT = {form: _layout((form, form.opposite)) for form in YbeForm}
+# a left-layout triple and its right-layout mirror, six gates in one table
+_PAIR_LAYOUT = _layout((YbeForm.LEFT, YbeForm.RIGHT))
 _EXP_SIGNS = np.array((1j, -1j))  # outer block, inner block
 _TY_ZERO = np.array(((-0.0,), (0.0,)))  # gamma - 0, gamma + 0
 _KRON_FACTORS = np.array((1.0 + 0j, 0j))[:, None, None]  # entries of the 2x2 identity
@@ -296,9 +288,9 @@ def relations(left, right) -> np.ndarray:
     return (_LEFT_SIGNS * lp.T - rp.T).T
 
 
-def _report(t: AngleTriple, out: AngleTriple, form: YbeForm) -> RelationReport:
-    rel = relations(t, out) if form is YbeForm.LEFT else relations(out, t)
-    m = _embedded(t + out, _PAIR_LAYOUT[form])
+def _report(t: AngleTriple, out: AngleTriple) -> RelationReport:
+    rel = relations(t, out)
+    m = _embedded(t + out, _PAIR_LAYOUT)
     mat = float(np.linalg.norm(m[0] @ m[1] @ m[2] - m[3] @ m[4] @ m[5]))
     return RelationReport(tuple(rel.tolist()), mat)
 
@@ -307,7 +299,7 @@ def verify_relations(left, right) -> RelationReport:
     """Evaluate the sixteen relations and the 8x8 residual for a LEFT/RIGHT pair."""
     lt = _coerce(left, YbeForm.LEFT)
     rt = _coerce(right, YbeForm.RIGHT)
-    return _report(lt, rt, YbeForm.LEFT)
+    return _report(lt, rt)
 
 
 # candidate branch table: all 6-bit pi-shift patterns of the aggregates
@@ -340,17 +332,14 @@ def _aggregates(t: AngleTriple) -> np.ndarray:
     return np.array((p, m, q, n, g5, d5))
 
 
-def _analytic_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, RelationReport]:
+def _analytic_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
     """Closed-form solve; branch chosen among 64 pi-shift candidates."""
     p, m, q, n, g5, d5 = (_aggregates(t) + _SHIFTS).T
     batch = (((p + m) / 2, (q + n) / 2), (g5, d5), ((p - m) / 2, (q - n) / 2))
-    if form is YbeForm.LEFT:
-        rel = np.abs(relations(t, batch)).max(axis=0)
-    else:
-        rel = np.abs(relations(batch, t)).max(axis=0)
+    rel = np.abs(relations(t, batch)).max(axis=0)
     k = int(np.argmin(rel))
-    out = tuple((wrap_angle(float(a[k])), wrap_angle(float(b[k]))) for a, b in batch)
-    return out, _report(t, out, form)
+    out = tuple((wrap_angle(a[k]), wrap_angle(b[k])) for a, b in batch)
+    return out, _report(t, out)
 
 
 def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
@@ -370,17 +359,14 @@ def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
     return UnsolvedError(best.residual, best)
 
 
-def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, RelationReport]:
+def _numeric_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
     # imported here so that a run which never needs the fallback never loads scipy
     from scipy.optimize import least_squares
 
-    target = triple_unitary(t, form)
-    out_form = form.opposite
+    target = triple_unitary(t, YbeForm.LEFT)
 
     def resid(x: np.ndarray) -> np.ndarray:
-        u = triple_unitary(
-            ((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), out_form
-        )
+        u = triple_unitary(((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), YbeForm.RIGHT)
         d = (u - target).ravel()
         return np.concatenate([d.real, d.imag])
 
@@ -391,9 +377,9 @@ def _numeric_solve(t: AngleTriple, form: YbeForm) -> tuple[AngleTriple, Relation
     reports = []
     for s0 in starts:
         sol = least_squares(resid, s0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        x = wrap_angle(sol.x).tolist()
+        x = [wrap_angle(a) for a in sol.x]
         out = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
-        report = _report(t, out, form)
+        report = _report(t, out)
         if 2.0 * sol.cost < FALLBACK_COST_TOL and report.residual < SOLVER_TOL:
             return out, report
         reports.append(report)
@@ -408,7 +394,7 @@ def numeric_fallback(t: YbeTriple) -> YbeSolution:
     misfit drops below FALLBACK_COST_TOL and the verified residual below
     SOLVER_TOL.
     """
-    out, report = _numeric_solve(t.angles(), t.form)
+    out, report = _numeric_solve(t.pairs)
     return _solution(out, t.form.opposite, report.residual, "numeric-fallback")
 
 
@@ -418,24 +404,25 @@ def solve(t: YbeTriple) -> YbeSolution:
     The closed-form path is tried first and accepted when the verified
     residual (matrix and all sixteen relations) is below SOLVER_TOL; the
     numeric fallback covers anything it misses. Raises UnsolvedError with
-    the best verified candidate when both fail. Both layout directions are
-    supported; the mirrored direction uses the same formulas with the roles
-    of the two sides exchanged.
+    the best verified candidate when both fail. Both layouts are solved by
+    the same left-layout formulas: R(gamma, delta) is symmetric under the
+    swap of its two qubits, so the site mirror turns LEFT(a) = RIGHT(b)
+    into RIGHT(a) = LEFT(b).
     """
-    angles, form = t.angles(), t.form
+    angles, out_form = t.pairs, t.form.opposite
     reports = []
     fast = _merge_degenerate(angles)
     if fast is not None:
-        report = _report(angles, fast, form)
+        report = _report(angles, fast)
         if report.residual < SOLVER_TOL:
-            return _solution(fast, form.opposite, report.residual, "analytic")
+            return _solution(fast, out_form, report.residual, "analytic")
         reports.append(report)
-    out, report = _analytic_solve(angles, form)
+    out, report = _analytic_solve(angles)
     if report.residual < SOLVER_TOL:
-        return _solution(out, form.opposite, report.residual, "analytic")
+        return _solution(out, out_form, report.residual, "analytic")
     reports.append(report)
     try:
-        out, report = _numeric_solve(angles, form)
+        out, report = _numeric_solve(angles)
     except UnsolvedError as exc:
         raise _unsolved(reports + [exc.report]) from None
-    return _solution(out, form.opposite, report.residual, "numeric-fallback")
+    return _solution(out, out_form, report.residual, "numeric-fallback")

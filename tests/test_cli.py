@@ -357,6 +357,50 @@ def test_evolve_qasm_out_modes(tmp_path):
     assert code == 2
 
 
+# J.y is a zero coupling but its step angle J.y*dt = 1e-10 is not, so the
+# step gates are XY gates
+STRADDLING_CONFIG = {"J": {"x": 1.0, "y": 1e-13}, "spins": 4, "t_final": 2000, "dt": 1000}
+
+
+def test_evolve_takes_the_family_from_the_step_angles(tmp_path, capsys):
+    cfg = write_config(tmp_path, **STRADDLING_CONFIG)
+    assert main(["evolve", "--config", str(cfg), "--mode", "all", "--out", str(tmp_path / "m.csv")]) == 0
+    assert capsys.readouterr() == ("", "")
+    trotter, compressed = (
+        np.loadtxt(tmp_path / f"m.{m}.csv", delimiter=",", skiprows=1) for m in ("trotter", "compressed")
+    )
+    assert np.max(np.abs(compressed - trotter)) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["straddling", "golden"])
+def test_evolve_compressed_qasm_out_matches_compress(source, tmp_path, capsys):
+    if source == "straddling":
+        cfg = write_config(tmp_path, **STRADDLING_CONFIG)
+    else:
+        cfg = GOLDEN / "compress_xy.json"
+    evolved, compressed = tmp_path / "evolve.qasm", tmp_path / "compress.qasm"
+    assert main(["evolve", "--config", str(cfg), "--mode", "compressed", "--out", str(tmp_path / "m.csv"),
+                 "--qasm-out", str(evolved)]) == 0
+    assert main(["compress", "--config", str(cfg), "--qasm-out", str(compressed)]) == 0
+    capsys.readouterr()
+    assert evolved.read_bytes() == compressed.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["trotter", "compressed", "all"])
+def test_evolve_three_axis_couplings(mode, tmp_path, capsys):
+    # no compressible family holds XX + YY + ZZ; the other engines run
+    cfg = write_config(tmp_path, J={"x": 0.5, "y": 0.3, "z": 0.2}, spins=3, t_final=0.5, dt=0.1)
+    code = main(["evolve", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / "m.csv")])
+    written = sorted(p.name for p in tmp_path.iterdir())
+    if mode == "trotter":
+        assert code == 0
+        assert written == ["job.json", "m.csv"]
+    else:
+        assert code == 2
+        assert "three-axis couplings are outside the compressible families" in capsys.readouterr().err
+        assert written == ["job.json"]
+
+
 def test_compress_from_config_stats(tmp_path, capsys):
     cfg = write_config(tmp_path)
     qasm_out = tmp_path / "compressed.qasm"

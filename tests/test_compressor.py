@@ -351,11 +351,16 @@ def test_turnovers_per_step_once_the_word_is_full():
 def test_compressed_steps_end_on_the_compressed_circuit():
     # the stream and compress run one engine over the same gates in the same
     # order, so the stream's last block is compress's, bit for bit
-    dt = 0.05
-    for n in range(2, 8):
-        for klass in (HamiltonianClass.X, HamiltonianClass.XY, HamiltonianClass.YZ):
-            j = FAMILY_COUPLINGS[klass]
-            for steps in sorted({1, 2, n, 3 * n}):
-                plan = TrotterPlan(steps * dt, dt)
-                *_, last = compressed_steps(n, j, plan)
-                assert last == pad_to_template(compress(build_trotter_circuit(n, j, plan))).circuit
+    jobs = [
+        (n, FAMILY_COUPLINGS[klass], 0.05, steps)
+        for n in range(2, 8)
+        for klass in (HamiltonianClass.X, HamiltonianClass.XY, HamiltonianClass.YZ)
+        for steps in sorted({1, 2, n, 3 * n})
+    ]
+    # a coupling and its step angle J.y*dt on opposite sides of ZERO_TOL: the
+    # family comes from the angles, class XY and then class X
+    jobs += [(4, CouplingParams(1.0, 1e-13, 0.0), 1000.0, 2), (4, CouplingParams(1.0, 1e-11, 0.0), 0.01, 50)]
+    for n, j, dt, steps in jobs:
+        plan = TrotterPlan(steps * dt, dt)
+        *_, last = compressed_steps(n, j, plan)
+        assert last == pad_to_template(compress(build_trotter_circuit(n, j, plan))).circuit
