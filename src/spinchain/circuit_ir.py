@@ -19,12 +19,11 @@ from .propagators import (
     RGateParams,
     conjugated_r_matrix,
     decompose_xyz,
-    from_angles3,
     native_gate_matrix,
     r_gate_sequence,
     xyz_propagator,
 )
-from .spin_model import MAX_ANGLE, CouplingParams, TrotterPlan, step_angles
+from .spin_model import MAX_ANGLE, CouplingParams, HamiltonianClass, TrotterPlan, classify, step_angles
 
 MAX_DENSE_QUBITS = 12
 
@@ -174,9 +173,11 @@ def _pair_gate_native(g: PairGate) -> GateSequence:
     """The emitter's native block for one pair gate, on register qubits."""
     if isinstance(g.params, RGateParams):
         local = r_gate_sequence(g.params, g.conjugation)
+    elif (klass := classify(CouplingParams(*g.params.as_tuple()))) is HamiltonianClass.XYZ:
+        local = decompose_xyz(g.params)
     else:
-        params, tag, ok = from_angles3(g.params)
-        local = r_gate_sequence(params, tag) if ok else decompose_xyz(g.params)
+        family = klass.family
+        local = r_gate_sequence(RGateParams(*family.r_params(g.params)), family.conjugation)
     return tuple(
         NativeGate(ng.kind, tuple(q + g.pair for q in ng.qubits), ng.angle) for ng in local
     )

@@ -194,7 +194,8 @@ def _cmd_evolve(args) -> int:
         raise ConfigError("--out is required for the noisy companion series")
     if args.qasm_out is not None and mode not in NOISY_MODES:
         raise ConfigError(f"--qasm-out needs mode {' or '.join(NOISY_MODES)}")
-    series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in modes}
+    # compressed first: it alone can refuse a coupling family, so others never run in vain
+    series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in reversed(modes)}
     if mode == "all":
         out = Path(args.out)
         for m in modes:

@@ -27,13 +27,10 @@ from itertools import islice
 from .circuit_ir import Circuit, PairGate
 from .propagators import Angles3, RGateParams
 from .spin_model import FAMILY_TABLE, ZERO_TOL, CouplingParams, HamiltonianClass, classify
+from .spin_model import UnsupportedClassError  # noqa: F401  (compress raises it)
 from .ybe import YbeTriple, solve, wrap_angle
 
 RESIDUAL_BUDGET = 1e-6
-
-
-class UnsupportedClassError(ValueError):
-    """Gate set falls outside the six two-parameter families."""
 
 
 class ResidualBudgetError(RuntimeError):
@@ -60,8 +57,7 @@ class CompressedBlock:
         n = len(self.slots)
         gates = tuple(g for slot in self.slots for g in slot)
         object.__setattr__(self, "circuit", Circuit(n, gates))
-        if self.klass is HamiltonianClass.XYZ:
-            raise UnsupportedClassError("three-axis couplings are outside the compressible families")
+        conj = self.klass.family.conjugation
         bound = n * (n - 1) // 2
         if len(gates) > bound:
             raise ValueError(f"{len(gates)} gates exceed the {bound}-gate bound")
@@ -75,7 +71,7 @@ class CompressedBlock:
                     raise ValueError(f"gate on pair {g.pair} misplaced in slot {k}")
                 if not isinstance(g.params, RGateParams):
                     raise TypeError("block gates must carry RGateParams")
-                if g.conjugation != self.conjugation:
+                if g.conjugation != conj:
                     raise ValueError("block gates must share the block conjugation tag")
 
     @property

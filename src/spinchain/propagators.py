@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_model import Angles3, CouplingParams, HamiltonianClass, classify
+from .spin_model import Angles3
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -150,31 +150,10 @@ def _conjugator(kind: str | None) -> np.ndarray:
 _CONJ_MATRIX = {tag: _conjugator(kind) for tag, kind in _CONJUGATOR_KIND.items()}
 
 
-def conjugation_matrix(tag: str) -> np.ndarray:
-    if tag not in _CONJ_MATRIX:
-        raise ValueError(f"unknown conjugation tag {tag!r}")
-    return _CONJ_MATRIX[tag]
-
-
 def conjugated_r_matrix(p: RGateParams, tag: str) -> np.ndarray:
-    """U R(gamma, delta) U^dag for the class conjugator U."""
-    u = conjugation_matrix(tag)
+    """U R(gamma, delta) U^dag for the class conjugator U named by tag."""
+    u = _CONJ_MATRIX[tag]
     return u @ r_matrix(p) @ u.conj().T
-
-
-def from_angles3(a: Angles3) -> tuple[RGateParams, str, bool]:
-    """Map a step-angle triple onto the R(gamma, delta) class of its Hamiltonian.
-
-    Returns (params, conjugation_tag, ok) from the family's row of
-    FAMILY_TABLE, so that xyz_propagator(a) = U R(gamma, delta) U^dag
-    exactly, with U the returned conjugator. The full XYZ class is outside
-    the two-parameter family: ok is False and the params are zeros.
-    """
-    klass = classify(CouplingParams(*a.as_tuple()))
-    if klass is HamiltonianClass.XYZ:
-        return RGateParams(0.0, 0.0), "none", False
-    family = klass.family
-    return RGateParams(*family.r_params(a)), family.conjugation, True
 
 
 def decompose_xyz(a: Angles3) -> GateSequence:

@@ -20,6 +20,10 @@ ZERO_TOL = 1e-12
 MAX_ANGLE = 1e6
 
 
+class UnsupportedClassError(ValueError):
+    """Couplings fall outside the six two-axis families of FAMILY_TABLE."""
+
+
 class HamiltonianClass(Enum):
     """Which subset of {XX, YY, ZZ} couplings is active."""
 
@@ -37,9 +41,10 @@ class HamiltonianClass(Enum):
 
     @property
     def family(self) -> Family:
-        """This class's row of FAMILY_TABLE; XYZ has none."""
+        """This class's row of FAMILY_TABLE; XYZ has none and raises
+        UnsupportedClassError."""
         if self is HamiltonianClass.XYZ:
-            raise ValueError("class XYZ is outside the R(gamma, delta) family")
+            raise UnsupportedClassError("three-axis couplings are outside the compressible families")
         return FAMILY_TABLE[self]
 
 

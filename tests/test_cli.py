@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinchain import cli
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, MAX_SHOT_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
@@ -401,6 +402,22 @@ def test_evolve_three_axis_couplings(mode, tmp_path, capsys):
         assert written == ["job.json"]
 
 
+def test_evolve_all_refuses_three_axis_couplings_before_other_engines(tmp_path, capsys, monkeypatch):
+    # the compressed engine alone can refuse a family, so it runs first
+    attempted, run_dynamics = [], cli.run_dynamics
+
+    def spy(n, j, plan, mode, **kwargs):
+        attempted.append(mode)
+        return run_dynamics(n, j, plan, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "run_dynamics", spy)
+    cfg = write_config(tmp_path, J={"x": 0.5, "y": 0.3, "z": 0.2}, spins=10, t_final=10, dt=0.01)
+    assert main(["evolve", "--config", str(cfg), "--mode", "all", "--out", str(tmp_path / "m.csv")]) == 2
+    assert "three-axis couplings are outside the compressible families" in capsys.readouterr().err
+    assert attempted == ["compressed"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
 def test_compress_from_config_stats(tmp_path, capsys):
     cfg = write_config(tmp_path)
     qasm_out = tmp_path / "compressed.qasm"
@@ -502,6 +519,18 @@ def test_compress_output_matches_golden_bytes(family, source, tmp_path, capsys):
     stats = (GOLDEN / f"compress_{family}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == stats
     assert qasm_out.read_bytes() == (GOLDEN / f"compress_{family}.qasm").read_bytes()
+
+
+@pytest.mark.parametrize("family", ["x", "y", "z", "xy", "xz", "yz", "xyz"])
+def test_evolve_trotter_qasm_matches_golden_bytes(family, tmp_path, capsys):
+    # the emitter's Angles3 blocks: a two-axis family's R(gamma, delta)
+    # circuit, the 3-CX circuit for three-axis couplings (N = 4, 3 steps)
+    config = GOLDEN / (f"trotter_{family}.json" if family == "xyz" else f"compress_{family}.json")
+    qasm_out = tmp_path / "trotter.qasm"
+    assert main(["evolve", "--config", str(config), "--mode", "trotter", "--out", str(tmp_path / "m.csv"),
+                 "--qasm-out", str(qasm_out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert qasm_out.read_bytes() == (GOLDEN / f"trotter_{family}.qasm").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["evolve_all", "evolve_noisy_trotter", "evolve_noisy_compressed"])

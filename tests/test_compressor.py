@@ -133,13 +133,15 @@ def test_compress_rejects_three_axis_class():
 
 
 def test_three_axis_couplings_raise_one_message():
-    # the block owns the rule; compress and the compressed-step stream reach it
+    # the family table owns the rule; compress, the compressed-step stream and
+    # the block reach it
     j, plan = CouplingParams(1.0, 0.8, 0.6), TrotterPlan(0.1, 0.05)
     message = "^three-axis couplings are outside the compressible families$"
     for call in (
         lambda: compress(build_trotter_circuit(3, j, plan)),
         lambda: next(compressed_steps(3, j, plan)),
         lambda: empty_block(3, HamiltonianClass.XYZ),
+        lambda: HamiltonianClass.XYZ.family,
     ):
         with pytest.raises(UnsupportedClassError, match=message):
             call()

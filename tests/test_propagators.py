@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinchain._dense import phase_distance
+from spinchain.circuit_ir import Circuit, PairGate, to_native
 from spinchain.propagators import (
     CX_MATRIX,
     CX_REVERSED_MATRIX,
@@ -16,9 +17,7 @@ from spinchain.propagators import (
     NativeGate,
     RGateParams,
     conjugated_r_matrix,
-    conjugation_matrix,
     decompose_xyz,
-    from_angles3,
     native_gate_matrix,
     r_gate_sequence,
     r_matrix,
@@ -27,7 +26,7 @@ from spinchain.propagators import (
     sequence_unitary,
     xyz_propagator,
 )
-from spinchain.spin_model import Angles3, HamiltonianClass
+from spinchain.spin_model import Angles3, HamiltonianClass, UnsupportedClassError
 
 TRIALS = 300
 TOL = 1e-12
@@ -128,33 +127,16 @@ def test_r_matrix_periodicity():
         assert phase_distance(r0, r3) < TOL
 
 
-def test_conjugation_matrices_are_unitary():
-    for tag in ("none", "u1", "u2"):
-        u = conjugation_matrix(tag)
-        assert np.allclose(u.conj().T @ u, np.eye(4), atol=TOL)
-
-
-def test_from_angles3_covers_two_axis_families():
+def test_angles3_gates_emit_their_class_circuit():
+    # each two-axis family emits its 2-CX R(gamma, delta) circuit, three-axis
+    # angles the 3-CX circuit; either way the emitted gates are the propagator
     rng = np.random.default_rng(SEED + 5)
-    cases = [
-        lambda r: Angles3(r.uniform(-1.5, 1.5), 0.0, 0.0),
-        lambda r: Angles3(0.0, r.uniform(-1.5, 1.5), 0.0),
-        lambda r: Angles3(0.0, 0.0, r.uniform(-1.5, 1.5)),
-        lambda r: Angles3(r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5), 0.0),
-        lambda r: Angles3(r.uniform(-1.5, 1.5), 0.0, r.uniform(-1.5, 1.5)),
-        lambda r: Angles3(0.0, r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5)),
-    ]
-    for make in cases:
-        for _ in range(TRIALS // 6):
-            a = make(rng)
-            params, tag, ok = from_angles3(a)
-            assert ok
-            assert phase_distance(conjugated_r_matrix(params, tag), xyz_oracle(a)) < PHASE_TOL
-
-
-def test_from_angles3_rejects_three_axis_input():
-    _, _, ok = from_angles3(Angles3(0.3, 0.4, 0.5))
-    assert not ok
+    for klass in HamiltonianClass:
+        for _ in range(TRIALS // 7):
+            a = Angles3(*(rng.uniform(-1.5, 1.5) if axis in klass.axes else 0.0 for axis in "xyz"))
+            native = to_native(Circuit(2, (PairGate(0, a),)))
+            assert sum(1 for g in native.gates if g.kind == "cx") == (3 if klass is HamiltonianClass.XYZ else 2)
+            assert phase_distance(sequence_unitary(native.gates), xyz_oracle(a)) < PHASE_TOL
 
 
 def test_decompose_xyz_matches_propagator():
@@ -193,7 +175,7 @@ def test_special_case_sequences_match_conjugated_r():
 
 def test_special_case_sequence_rejects_three_axis_class():
     # the three-axis class has no R(gamma, delta) family, so no special-case sequence
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedClassError):
         HamiltonianClass.XYZ.family
 
 
