@@ -26,7 +26,13 @@ from spinchain.propagators import (
     sequence_unitary,
     xyz_propagator,
 )
-from spinchain.spin_model import Angles3, HamiltonianClass, UnsupportedClassError
+from spinchain.spin_model import (
+    Angles3,
+    CouplingParams,
+    HamiltonianClass,
+    UnsupportedClassError,
+    classify,
+)
 
 TRIALS = 300
 TOL = 1e-12
@@ -137,6 +143,32 @@ def test_angles3_gates_emit_their_class_circuit():
             native = to_native(Circuit(2, (PairGate(0, a),)))
             assert sum(1 for g in native.gates if g.kind == "cx") == (3 if klass is HamiltonianClass.XYZ else 2)
             assert phase_distance(sequence_unitary(native.gates), xyz_oracle(a)) < PHASE_TOL
+
+
+def test_from_angles3_covers_two_axis_families():
+    # the family table maps any two-axis Angles3 onto R(gamma, delta) under its tag
+    rng = np.random.default_rng(SEED + 5)
+    cases = [
+        lambda r: Angles3(r.uniform(-1.5, 1.5), 0.0, 0.0),
+        lambda r: Angles3(0.0, r.uniform(-1.5, 1.5), 0.0),
+        lambda r: Angles3(0.0, 0.0, r.uniform(-1.5, 1.5)),
+        lambda r: Angles3(r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5), 0.0),
+        lambda r: Angles3(r.uniform(-1.5, 1.5), 0.0, r.uniform(-1.5, 1.5)),
+        lambda r: Angles3(0.0, r.uniform(-1.5, 1.5), r.uniform(-1.5, 1.5)),
+    ]
+    for make in cases:
+        for _ in range(TRIALS // 6):
+            a = make(rng)
+            family = classify(CouplingParams(*a.as_tuple())).family
+            params = RGateParams(*family.r_params(a))
+            assert phase_distance(conjugated_r_matrix(params, family.conjugation), xyz_oracle(a)) < PHASE_TOL
+
+
+def test_from_angles3_rejects_three_axis_input():
+    klass = classify(CouplingParams(*Angles3(0.3, 0.4, 0.5).as_tuple()))
+    assert klass is HamiltonianClass.XYZ
+    with pytest.raises(UnsupportedClassError):
+        klass.family
 
 
 def test_decompose_xyz_matches_propagator():
