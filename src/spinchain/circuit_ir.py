@@ -184,8 +184,9 @@ def _pair_gate_native(g: PairGate) -> GateSequence:
 
 
 def to_native(c: Circuit) -> NativeCircuit:
-    """Expand pair gates into native gates via the class circuits (or 3-CX form)."""
-    return NativeCircuit(c.num_qubits, tuple(ng for g in c.gates for ng in _pair_gate_native(g)))
+    """Expand pair gates into native gates via the class circuits (or 3-CX form), each distinct gate once."""
+    blocks = {g: _pair_gate_native(g) for g in dict.fromkeys(c.gates)}
+    return NativeCircuit(c.num_qubits, tuple(ng for g in c.gates for ng in blocks[g]))
 
 
 def _recognize_block(gates: GateSequence, pos: int, tag: str) -> tuple[PairGate, int] | None:

@@ -23,6 +23,7 @@ from .simulator import (
     NOISY_MODES,
     NoiseModel,
     basis_state,
+    run_compressed,
     run_dynamics,
     run_noisy_dynamics,
 )
@@ -194,8 +195,14 @@ def _cmd_evolve(args) -> int:
         raise ConfigError("--out is required for the noisy companion series")
     if args.qasm_out is not None and mode not in NOISY_MODES:
         raise ConfigError(f"--qasm-out needs mode {' or '.join(NOISY_MODES)}")
-    # compressed first: it alone can refuse a coupling family, so others never run in vain
-    series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in reversed(modes)}
+    noisy = circuit = None
+    if mode == "compressed":
+        # one engine session feeds the CSV, the noisy series and --qasm-out
+        run, noisy, block = run_compressed(cfg.spins, cfg.j, cfg.plan, noise, init_state=init)
+        series, circuit = {mode: run}, block.circuit
+    else:
+        # compressed first: it alone can refuse a coupling family, so others never run in vain
+        series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in reversed(modes)}
     if mode == "all":
         out = Path(args.out)
         for m in modes:
@@ -204,14 +211,12 @@ def _cmd_evolve(args) -> int:
         sys.stdout.write(series[mode].to_csv())
     else:
         _write(Path(args.out), series[mode].to_csv())
-    if noise is not None and mode in NOISY_MODES:
+    if noise is not None and mode == "trotter":
         noisy = run_noisy_dynamics(cfg.spins, cfg.j, cfg.plan, mode, noise, init_state=init)
+    if noisy is not None:
         _write(_suffixed(Path(args.out), "noisy"), noisy.to_csv())
     if args.qasm_out is not None:
-        circ = build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)
-        if mode == "compressed":
-            circ = compress(circ).circuit
-        _write(Path(args.qasm_out), to_qasm(circ))
+        _write(Path(args.qasm_out), to_qasm(circuit or build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)))
     return 0
 
 

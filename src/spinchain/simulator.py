@@ -5,7 +5,6 @@ depolarizing Monte Carlo."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from .circuit_ir import (
     local_ops,
     to_native,
 )
-from .compressor import absorb_steps, detect_class, empty_block, pad_to_template
+from .compressor import CompressedBlock, absorb_steps, detect_class, empty_block, pad_to_template
 from .spin_model import CouplingParams, TrotterPlan
 
 MODES = ("exact", "trotter", "compressed")
@@ -31,7 +30,7 @@ NOISY_MODES = ("trotter", "compressed")
 
 _NOISE_CHUNK = 1024
 
-# ceiling on the uniform draws held at once by a chunk of noisy shots
+# ceiling on the uniform draws held at once: per chunk of a series, over all chunks of restarted rows
 _DRAW_BYTES = 1 << 26
 
 
@@ -198,23 +197,12 @@ def _trotter_series(n, j, plan, init):
     return out
 
 
-def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[Circuit]:
-    """The compressed circuit after each of plan's steps, step 1 first.
-
-    One engine session absorbs every step's Trotter layer; after each step a
-    copy of it is emitted and padded with identity gates to the full template.
-    Raises UnsupportedClassError for three-axis couplings.
-    """
+def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[CompressedBlock]:
+    """The unpadded compressed block after each of plan's steps, step 1 first,
+    from one engine session; the last is compress's block of the whole Trotter
+    circuit. Raises UnsupportedClassError for three-axis couplings."""
     step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-    for block in absorb_steps(empty_block(n, detect_class(step)), step.gates, plan.num_steps):
-        yield pad_to_template(block).circuit
-
-
-def _compressed_series(n, j, plan, init):
-    out = [staggered_magnetization(init)]
-    for circuit in compressed_steps(n, j, plan):
-        out.append(staggered_magnetization(apply_circuit(init, circuit)))
-    return out
+    return absorb_steps(empty_block(n, detect_class(step)), step.gates, plan.num_steps)
 
 
 def run_dynamics(
@@ -235,12 +223,9 @@ def run_dynamics(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     init = _initial_state(n, init_state)
-    runner = {
-        "exact": _exact_series,
-        "trotter": _trotter_series,
-        "compressed": _compressed_series,
-    }[mode]
-    return _series(plan, runner(n, j, plan, init))
+    if mode == "compressed":
+        return run_compressed(n, j, plan, init_state=init)[0]
+    return _series(plan, (_exact_series if mode == "exact" else _trotter_series)(n, j, plan, init))
 
 
 def _gates(c: Circuit | NativeCircuit) -> list:
@@ -269,47 +254,63 @@ def _pauli_errors(states: np.ndarray, qubits: tuple, cols: np.ndarray, u: np.nda
         states[:, cols[code == 2]] *= 1j
 
 
-def _noisy_values(blocks, num_blocks: int, noise: NoiseModel, init: np.ndarray, restart: bool) -> np.ndarray:
-    """m_s per shot: row 0 for init, row k after the k-th of the num_blocks
-    gate lists that blocks() yields (called once per chunk of shots).
+def _noisy_gates(states: np.ndarray, gates: list, draws: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Run gates over a chunk's states, one shot per column; at gate i shot s
+    reads the uniform pair draws[s, i]: does the gate err, and with which Pauli."""
+    n = states.shape[0].bit_length() - 1
+    for i, (qubits, low, mat) in enumerate(gates):
+        states = _dense.apply_gate(states, mat, low)
+        u = draws[:, i]
+        cols = np.flatnonzero(u[:, 0] < (noise.p2 if len(qubits) == 2 else noise.p1))
+        if cols.size:
+            _pauli_errors(states, qubits, cols, u[cols, 1], n)
+    return states
 
-    Shot s reads one uniform pair per gate from default_rng(seed + s): does
-    the gate err, and with which Pauli. With restart each block runs from
-    init and reads the stream from its start, else from where the last left
-    off. A chunk draws the stream once and extends it as blocks need, without
-    restart in runs of blocks within _DRAW_BYTES (at least one block).
-    """
-    n = init.shape[0].bit_length() - 1
-    values = np.empty((num_blocks + 1, noise.shots))
+
+def _series_values(gates: list, num_steps: int, noise: NoiseModel, init: np.ndarray) -> np.ndarray:
+    """m_s per shot: row 0 for init, row k after k repeats of gates. Shot s's
+    state and stream (default_rng(seed + s), a uniform pair per gate) carry on
+    from step to step, drawn in runs of steps within _DRAW_BYTES (at least one)."""
+    values = np.empty((num_steps + 1, noise.shots))
     for base in range(0, noise.shots, _NOISE_CHUNK):
         count = min(_NOISE_CHUNK, noise.shots - base)
         rngs = [np.random.default_rng(noise.seed + base + s) for s in range(count)]
-        # draws[:, i] is the stream's pair start + i
-        draws, start, pos = np.empty((count, 0, 2)), 0, 0
+        runs = max(1, _DRAW_BYTES // (count * max(1, len(gates)) * 2 * 8))
         states = np.repeat(init[:, None], count, axis=1)
         values[0, base : base + count] = staggered_magnetization(states)
-        for k, gates in enumerate(blocks(), 1):
-            if restart:
-                states, pos = np.repeat(init[:, None], count, axis=1), 0
-            kept = start + draws.shape[1] - pos
-            if len(gates) > kept:
-                runs = max(1, _DRAW_BYTES // (count * len(gates) * 2 * 8))
-                runs = 1 if restart else min(runs, num_blocks - k + 1)
-                fresh = np.empty((count, runs * len(gates), 2))
-                fresh[:, :kept] = draws[:, pos - start :]
+        for k in range(num_steps):
+            if k % runs == 0:
+                draws = np.empty((count, min(runs, num_steps - k) * len(gates), 2))
                 for s, rng in enumerate(rngs):
-                    fresh[s, kept:] = rng.random((fresh.shape[1] - kept, 2))
-                draws, start = fresh, pos
-            for gi, (qubits, low, mat) in enumerate(gates):
-                states = _dense.apply_gate(states, mat, low)
-                p = noise.p2 if len(qubits) == 2 else noise.p1
-                u = draws[:, pos - start + gi]
-                cols = np.flatnonzero(u[:, 0] < p)
-                if cols.size:
-                    _pauli_errors(states, qubits, cols, u[cols, 1], n)
-            pos += len(gates)
-            values[k, base : base + count] = staggered_magnetization(states)
+                    draws[s] = rng.random(draws.shape[1:])
+            states = _noisy_gates(states, gates, draws[:, k % runs * len(gates) :], noise)
+            values[k + 1, base : base + count] = staggered_magnetization(states)
     return values
+
+
+def _restarted_row(gates: list, noise: NoiseModel, init: np.ndarray, held: dict) -> np.ndarray:
+    """m_s per shot after gates run from init, shot s reading the first
+    len(gates) uniform pairs of default_rng(seed + s). held keeps each chunk's
+    generators and draws for the next call while shots x len(gates) pairs fit
+    in _DRAW_BYTES; past that it is emptied and each call redraws the prefix."""
+    row, keep = np.empty(noise.shots), noise.shots * len(gates) * 2 * 8 <= _DRAW_BYTES
+    if not keep:
+        held.clear()
+    for base in range(0, noise.shots, _NOISE_CHUNK):
+        count = min(_NOISE_CHUNK, noise.shots - base)
+        rngs, draws = held.get(base, (None, np.empty((count, 0, 2))))
+        if draws.shape[1] < len(gates):
+            rngs = rngs or [np.random.default_rng(noise.seed + base + s) for s in range(count)]
+            fresh = np.empty((count, len(gates), 2))
+            fresh[:, : draws.shape[1]] = draws
+            for s, rng in enumerate(rngs):
+                fresh[s, draws.shape[1] :] = rng.random((len(gates) - draws.shape[1], 2))
+            draws = fresh
+        if keep:
+            held[base] = rngs, draws
+        states = _noisy_gates(np.repeat(init[:, None], count, axis=1), gates, draws, noise)
+        row[base : base + count] = staggered_magnetization(states)
+    return row
 
 
 def _mean_stderr(row: np.ndarray, shots: int) -> tuple[float, float]:
@@ -331,7 +332,7 @@ def run_noisy(
     default_rng(seed + s), independent of batching.
     """
     gates, init = _gates(c), _initial_state(c.num_qubits, init_state)
-    return _mean_stderr(_noisy_values(lambda: [gates], 1, noise, init, restart=True)[1], noise.shots)
+    return _mean_stderr(_restarted_row(gates, noise, init, {}), noise.shots)
 
 
 def run_noisy_series(
@@ -349,25 +350,37 @@ def run_noisy_series(
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     gates, init = _gates(step), _initial_state(step.num_qubits, init_state)
-    values = _noisy_values(lambda: itertools.repeat(gates, num_steps), num_steps, noise, init, restart=False)
-    return [_mean_stderr(row, noise.shots) for row in values]
+    return [_mean_stderr(row, noise.shots) for row in _series_values(gates, num_steps, noise, init)]
+
+
+def run_compressed(
+    n: int, j: CouplingParams, plan: TrotterPlan, noise: NoiseModel | None = None,
+    init_state: np.ndarray | None = None,
+) -> tuple[ObservableSeries, ObservableSeries | None, CompressedBlock]:
+    """The compressed series, the mean noisy one when noise is given, and the
+    last block, from one compressed_steps session: each step's padded block
+    runs from the initial state once noiseless and once per noisy shot."""
+    init = _initial_state(n, init_state)
+    clean = [staggered_magnetization(init)]
+    noisy, held = list(clean), {}
+    for block in compressed_steps(n, j, plan):
+        circuit = pad_to_template(block).circuit
+        clean.append(staggered_magnetization(apply_circuit(init, circuit)))
+        if noise is not None:
+            noisy.append(_restarted_row(_gates(circuit), noise, init, held).mean())
+    return _series(plan, clean), _series(plan, noisy) if noise else None, block
 
 
 def run_noisy_dynamics(
     n: int, j: CouplingParams, plan: TrotterPlan, mode: str, noise: NoiseModel,
     init_state: np.ndarray | None = None,
 ) -> ObservableSeries:
-    """Mean noisy m_s per step: trotter repeats one noisy step, compressed runs
-    each step's block from the initial state (_noisy_values with restart),
-    and row 0 is the initial state's m_s."""
+    """Mean noisy m_s per step, row 0 the initial state's: trotter repeats one
+    noisy step, compressed is run_compressed's noisy series."""
     init = _initial_state(n, init_state)
-    if mode == "trotter":
-        step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-        means = [mean for mean, _ in run_noisy_series(step, plan.num_steps, noise, init)]
-    elif mode == "compressed":
-        blocks = lambda: map(_gates, compressed_steps(n, j, plan))  # noqa: E731
-        values = _noisy_values(blocks, plan.num_steps, noise, init, restart=True)
-        means = [staggered_magnetization(init), *(row.mean() for row in values[1:])]
-    else:
+    if mode == "compressed":
+        return run_compressed(n, j, plan, noise, init)[1]
+    if mode != "trotter":
         raise ValueError(f"noisy mode must be {' or '.join(NOISY_MODES)}, got {mode!r}")
-    return _series(plan, means)
+    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+    return _series(plan, [mean for mean, _ in run_noisy_series(step, plan.num_steps, noise, init)])

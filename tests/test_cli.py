@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchain import cli
+from spinchain import cli, compressor
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, MAX_SHOT_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
@@ -385,6 +385,23 @@ def test_evolve_compressed_qasm_out_matches_compress(source, tmp_path, capsys):
     assert main(["compress", "--config", str(cfg), "--qasm-out", str(compressed)]) == 0
     capsys.readouterr()
     assert evolved.read_bytes() == compressed.read_bytes()
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("qasm_out", [False, True])
+def test_evolve_compressed_runs_one_engine_session(noisy, qasm_out, tmp_path, monkeypatch):
+    # the stream's one session feeds the CSV, every 1,024-shot chunk of the
+    # noisy series and --qasm-out: 82 bridge solves on the golden XY job
+    solves, solve = [], compressor.solve
+    monkeypatch.setattr(compressor, "solve", lambda triple: solves.append(triple) or solve(triple))
+    data = json.loads((GOLDEN / "compress_xy.json").read_text(encoding="utf-8"))
+    if noisy:
+        data["noise"] = {"p1": 0.001, "p2": 0.01, "shots": 2500, "seed": 3}
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["evolve", "--config", str(cfg), "--mode", "compressed", "--out", str(tmp_path / "m.csv")]
+    assert main(argv + ["--qasm-out", str(tmp_path / "c.qasm")] * qasm_out) == 0
+    assert len(solves) == 82
 
 
 @pytest.mark.parametrize("mode", ["trotter", "compressed", "all"])

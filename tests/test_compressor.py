@@ -365,4 +365,5 @@ def test_compressed_steps_end_on_the_compressed_circuit():
     for n, j, dt, steps in jobs:
         plan = TrotterPlan(steps * dt, dt)
         *_, last = compressed_steps(n, j, plan)
-        assert last == pad_to_template(compress(build_trotter_circuit(n, j, plan))).circuit
+        # block equality compares the slots, the residual and ybe_moves
+        assert last == compress(build_trotter_circuit(n, j, plan))

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from spinchain import simulator
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, to_native, unitary_of
-from spinchain.compressor import UnsupportedClassError
+from spinchain.compressor import UnsupportedClassError, pad_to_template
 from spinchain.simulator import (
     NoiseModel,
     ObservableSeries,
@@ -250,23 +250,48 @@ def test_heavy_depolarizing_noise_scrambles_to_zero():
 
 def test_noisy_compressed_rows_equal_run_noisy_on_each_block(monkeypatch):
     # every step block runs from the initial state and reads each shot's
-    # stream from its start; the blocks' native gate counts differ, so the
-    # chunk's stream prefix must be extended, and chunks smaller than the
-    # shot count must not change any row
+    # stream from its start. The rows must not change whether each block
+    # redraws that prefix (a draw budget that holds nothing) or the chunks
+    # hold their draws across blocks (the default budget, also with several
+    # chunks); the blocks' native counts grow, so a held prefix must grow
     n, j, plan = 3, CouplingParams(0.6, -0.4, 0.0), TrotterPlan(0.6, 0.1)
     init = basis_state(n, "011")
-    blocks = list(compressed_steps(n, j, plan))
-    assert len({len(to_native(c).gates) for c in blocks}) > 1
+    blocks = [pad_to_template(b).circuit for b in compressed_steps(n, j, plan)]
+    natives = [len(to_native(c).gates) for c in blocks]
+    assert any(count > max(natives[:k]) for k, count in enumerate(natives[1:], 1))
+    shots, default_rng = 7, np.random.default_rng
     for p1, p2 in ((0.05, 0.1), (1.0, 1.0)):
-        noise = NoiseModel(p1, p2, 7, 4)
-        whole = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
-        monkeypatch.setattr(simulator, "_NOISE_CHUNK", 3)
-        series = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
+        noise = NoiseModel(p1, p2, shots, 4)
+        expected = [run_noisy(c, noise, init)[0] for c in blocks]
+        for chunk, draw_bytes, streams in (
+            (1024, 1, shots * len(blocks)), (1024, simulator._DRAW_BYTES, shots), (3, simulator._DRAW_BYTES, shots)
+        ):
+            made = []
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
+            monkeypatch.setattr(simulator, "_NOISE_CHUNK", chunk)
+            monkeypatch.setattr(simulator, "_DRAW_BYTES", draw_bytes)
+            series = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
+            monkeypatch.undo()
+            assert series.rows[0][2] == staggered_magnetization(init)
+            assert [m for _, _, m in series.rows[1:]] == expected
+            # held draws make each shot's generator once per job
+            assert len(made) == streams
+        # a gate list past the budget, between two that fit, must leave the
+        # held streams where their draws end
+        gates = simulator._gates(blocks[-1])
+        monkeypatch.setattr(simulator, "_DRAW_BYTES", shots * 4 * 2 * 8)
+        held = {}
+        for k in (2, 10, 4):
+            row = simulator._restarted_row(gates[:k], noise, init, held)
+            assert np.array_equal(row, simulator._restarted_row(gates[:k], noise, init, {}))
         monkeypatch.undo()
-        assert series == whole
-        assert series.rows[0][2] == staggered_magnetization(init)
-        for (_, _, m), block in zip(series.rows[1:], blocks, strict=True):
-            assert m == run_noisy(block, noise, init)[0]
+
+
+def test_noisy_runs_of_a_gate_free_circuit_stay_on_the_initial_state():
+    # no gate, no draw: every shot keeps the Neel state, m_s = 1
+    c, noise = NativeCircuit(2, ()), NoiseModel(0.5, 0.5, 5, 3)
+    assert run_noisy(c, noise) == (1.0, 0.0)
+    assert run_noisy_series(c, 3, noise) == [(1.0, 0.0)] * 4
 
 
 def test_run_noisy_dynamics_rejects_noiseless_modes():
