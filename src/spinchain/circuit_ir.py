@@ -87,8 +87,6 @@ class NativeCircuit:
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g!r} out of range for {self.num_qubits} qubits")
-            if g.kind == "cx" and abs(g.qubits[0] - g.qubits[1]) != 1:
-                raise ValueError(f"cx must act on adjacent qubits, got {g.qubits!r}")
 
 
 def build_trotter_circuit(n: int, j: CouplingParams, plan: TrotterPlan) -> Circuit:
@@ -332,7 +330,7 @@ def from_qasm(text: str) -> NativeCircuit:
                     raise QasmParseError(lineno, col, f"bad qreg declaration {s!r}")
                 if num_qubits is not None:
                     raise QasmParseError(lineno, col, "multiple qreg declarations")
-                reg_name = m.group("reg")
+                reg_name, reg_at = m.group("reg"), (lineno, col)
                 num_qubits = _index(m.group("idx"), lineno, col)
                 continue
             m = _QASM_STATEMENT.match(s)
@@ -367,8 +365,8 @@ def from_qasm(text: str) -> NativeCircuit:
         raise QasmParseError(1, 1, "missing qreg declaration")
     try:
         return NativeCircuit(num_qubits, tuple(gates))
-    except ValueError as exc:
-        raise QasmParseError(1, 1, str(exc)) from exc
+    except ValueError as exc:  # the register size: each gate was checked where it stands
+        raise QasmParseError(*reg_at, str(exc)) from exc
 
 
 def _unterminated(code: str, lineno: int):

@@ -18,15 +18,7 @@ from .circuit_ir import (
     unitary_of,
 )
 from .compressor import ResidualBudgetError, compress
-from .simulator import (
-    MODES as ENGINE_MODES,
-    NOISY_MODES,
-    NoiseModel,
-    basis_state,
-    run_compressed,
-    run_dynamics,
-    run_noisy_dynamics,
-)
+from .simulator import MODES as ENGINE_MODES, NOISY_MODES, NoiseModel, basis_state, run_dynamics
 from .spin_model import CouplingParams, HamiltonianClass, TrotterPlan, step_angles
 from .ybe import UnsolvedError
 
@@ -180,7 +172,7 @@ def _suffixed(out: Path, tag: str) -> Path:
 def _cmd_evolve(args) -> int:
     cfg = load_config(Path(args.config))
     mode = args.mode or cfg.mode
-    noise = cfg.noise
+    noise = cfg.noise if mode in NOISY_MODES else None
     if args.seed is not None:
         if mode not in NOISY_MODES:
             raise ConfigError(f"--seed needs mode {' or '.join(NOISY_MODES)}, the modes with a noisy series")
@@ -191,32 +183,27 @@ def _cmd_evolve(args) -> int:
     modes = ENGINE_MODES if mode == "all" else (mode,)
     if mode == "all" and args.out is None:
         raise ConfigError("--out is required with mode=all")
-    if noise is not None and mode in NOISY_MODES and args.out is None:
+    if noise is not None and args.out is None:
         raise ConfigError("--out is required for the noisy companion series")
     if args.qasm_out is not None and mode not in NOISY_MODES:
         raise ConfigError(f"--qasm-out needs mode {' or '.join(NOISY_MODES)}")
-    noisy = circuit = None
-    if mode == "compressed":
-        # one engine session feeds the CSV, the noisy series and --qasm-out
-        run, noisy, block = run_compressed(cfg.spins, cfg.j, cfg.plan, noise, init_state=init)
-        series, circuit = {mode: run}, block.circuit
-    else:
-        # compressed first: it alone can refuse a coupling family, so others never run in vain
-        series = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init) for m in reversed(modes)}
+    # one engine call per mode, compressed first: it alone can refuse a
+    # coupling family, so others never run in vain
+    runs = {m: run_dynamics(cfg.spins, cfg.j, cfg.plan, m, init_state=init, noise=noise) for m in reversed(modes)}
     if mode == "all":
-        out = Path(args.out)
         for m in modes:
-            _write(_suffixed(out, m), series[m].to_csv())
-    elif args.out is None:
-        sys.stdout.write(series[mode].to_csv())
+            _write(_suffixed(Path(args.out), m), runs[m].to_csv())
+        return 0
+    run = runs[mode]
+    if args.out is None:
+        sys.stdout.write(run.to_csv())
     else:
-        _write(Path(args.out), series[mode].to_csv())
-    if noise is not None and mode == "trotter":
-        noisy = run_noisy_dynamics(cfg.spins, cfg.j, cfg.plan, mode, noise, init_state=init)
-    if noisy is not None:
-        _write(_suffixed(Path(args.out), "noisy"), noisy.to_csv())
+        _write(Path(args.out), run.to_csv())
+    if run.noisy is not None:
+        _write(_suffixed(Path(args.out), "noisy"), run.noisy.to_csv())
     if args.qasm_out is not None:
-        _write(Path(args.qasm_out), to_qasm(circuit or build_trotter_circuit(cfg.spins, cfg.j, cfg.plan)))
+        circuit = build_trotter_circuit(cfg.spins, cfg.j, cfg.plan) if run.block is None else run.block.circuit
+        _write(Path(args.qasm_out), to_qasm(circuit))
     return 0
 
 

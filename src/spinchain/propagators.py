@@ -63,6 +63,8 @@ class NativeGate:
         if self.kind == "cx":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError(f"cx needs two distinct qubits, got {self.qubits!r}")
+            if abs(self.qubits[0] - self.qubits[1]) != 1:
+                raise ValueError(f"cx must act on adjacent qubits, got {self.qubits!r}")
             if self.angle is not None:
                 raise ValueError("cx carries no angle")
         else:

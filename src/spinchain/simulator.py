@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,9 +125,13 @@ def staggered_magnetization(states: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """Rows of (step, time, m_s) on a uniform grid, step 0 first."""
+    """Rows of (step, time, m_s) on a uniform grid, step 0 first. A series
+    from run_dynamics may carry the mean noisy series as noisy and, under
+    compressed, the engine session's last unpadded block as block."""
 
     rows: tuple[tuple[int, float, float], ...]
+    noisy: ObservableSeries | None = field(default=None, compare=False)
+    block: CompressedBlock | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         times = [t for _, t, _ in self.rows]
@@ -169,10 +173,10 @@ class NoiseModel:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _series(plan: TrotterPlan, values: list[float]) -> ObservableSeries:
+def _series(plan: TrotterPlan, values: list[float], **extra) -> ObservableSeries:
     times = plan.times()
     return ObservableSeries(
-        tuple((k, times[k], float(values[k])) for k in range(len(values)))
+        tuple((k, times[k], float(values[k])) for k in range(len(values))), **extra
     )
 
 
@@ -187,11 +191,10 @@ def _exact_series(n, j, plan, init):
     return out
 
 
-def _trotter_series(n, j, plan, init):
-    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+def _trotter_series(step, num_steps, init):
     state = init
     out = [staggered_magnetization(state)]
-    for _ in range(plan.num_steps):
+    for _ in range(num_steps):
         state = apply_circuit(state, step)
         out.append(staggered_magnetization(state))
     return out
@@ -211,21 +214,43 @@ def run_dynamics(
     plan: TrotterPlan,
     mode: str,
     init_state: np.ndarray | None = None,
+    noise: NoiseModel | None = None,
 ) -> ObservableSeries:
     """Staggered-magnetization series under one of the three engines.
 
     exact evaluates e^{-iHt} snapshots on the step grid; trotter applies one
     alternating layer per step; compressed absorbs each step's layer into a
-    template block and applies the (identity-padded) block to the initial
-    state. All start from the Neel state unless init_state is given.
+    template block, in one compressed_steps session, and applies the
+    (identity-padded) block to the initial state. All start from the Neel
+    state unless init_state is given.
+
+    noise, for trotter and compressed only, adds the mean noisy series as
+    noisy: trotter repeats one noisy step (run_noisy_series), compressed
+    runs each padded block from the initial state once per shot. Under
+    compressed the last unpadded block comes back as block.
     """
     _check_size(n)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if noise is not None and mode not in NOISY_MODES:
+        raise ValueError(f"noise needs mode {' or '.join(NOISY_MODES)}, got {mode!r}")
     init = _initial_state(n, init_state)
-    if mode == "compressed":
-        return run_compressed(n, j, plan, init_state=init)[0]
-    return _series(plan, (_exact_series if mode == "exact" else _trotter_series)(n, j, plan, init))
+    if mode == "exact":
+        return _series(plan, _exact_series(n, j, plan, init))
+    if mode == "trotter":
+        step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
+        noisy = None
+        if noise is not None:
+            noisy = _series(plan, [mean for mean, _ in run_noisy_series(step, plan.num_steps, noise, init)])
+        return _series(plan, _trotter_series(step, plan.num_steps, init), noisy=noisy)
+    clean = [staggered_magnetization(init)]
+    noisy, held = list(clean), {}
+    for block in compressed_steps(n, j, plan):
+        circuit = pad_to_template(block).circuit
+        clean.append(staggered_magnetization(apply_circuit(init, circuit)))
+        if noise is not None:
+            noisy.append(_restarted_row(_gates(circuit), noise, init, held).mean())
+    return _series(plan, clean, noisy=None if noise is None else _series(plan, noisy), block=block)
 
 
 def _gates(c: Circuit | NativeCircuit) -> list:
@@ -351,36 +376,3 @@ def run_noisy_series(
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     gates, init = _gates(step), _initial_state(step.num_qubits, init_state)
     return [_mean_stderr(row, noise.shots) for row in _series_values(gates, num_steps, noise, init)]
-
-
-def run_compressed(
-    n: int, j: CouplingParams, plan: TrotterPlan, noise: NoiseModel | None = None,
-    init_state: np.ndarray | None = None,
-) -> tuple[ObservableSeries, ObservableSeries | None, CompressedBlock]:
-    """The compressed series, the mean noisy one when noise is given, and the
-    last block, from one compressed_steps session: each step's padded block
-    runs from the initial state once noiseless and once per noisy shot."""
-    init = _initial_state(n, init_state)
-    clean = [staggered_magnetization(init)]
-    noisy, held = list(clean), {}
-    for block in compressed_steps(n, j, plan):
-        circuit = pad_to_template(block).circuit
-        clean.append(staggered_magnetization(apply_circuit(init, circuit)))
-        if noise is not None:
-            noisy.append(_restarted_row(_gates(circuit), noise, init, held).mean())
-    return _series(plan, clean), _series(plan, noisy) if noise else None, block
-
-
-def run_noisy_dynamics(
-    n: int, j: CouplingParams, plan: TrotterPlan, mode: str, noise: NoiseModel,
-    init_state: np.ndarray | None = None,
-) -> ObservableSeries:
-    """Mean noisy m_s per step, row 0 the initial state's: trotter repeats one
-    noisy step, compressed is run_compressed's noisy series."""
-    init = _initial_state(n, init_state)
-    if mode == "compressed":
-        return run_compressed(n, j, plan, noise, init)[1]
-    if mode != "trotter":
-        raise ValueError(f"noisy mode must be {' or '.join(NOISY_MODES)}, got {mode!r}")
-    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-    return _series(plan, [mean for mean, _ in run_noisy_series(step, plan.num_steps, noise, init)])

@@ -262,14 +262,15 @@ def test_from_qasm_error_positions():
 
 
 def test_from_qasm_gate_shape_errors_carry_their_position():
-    # NativeGate checks operand count and angle presence; the parser places
-    # its error at the offending statement
-    base = QASM_HEADER + "qreg q[2];\n"
+    # NativeGate checks operand count, angle presence and cx adjacency; the
+    # parser places its error at the offending statement
+    base = QASM_HEADER + "qreg q[3];\n"
     for stmt, needle in (
         ("h(0.5) q[0];", "h carries no angle"),
         ("rx q[0];", "rx needs a finite angle"),
         ("cx q[0];", "cx needs two distinct qubits"),
         ("h q[0],q[1];", "h acts on one qubit"),
+        ("cx q[0],q[2];", "cx must act on adjacent qubits"),
     ):
         with pytest.raises(QasmParseError) as err:
             from_qasm(base + stmt + "\n")
@@ -279,6 +280,14 @@ def test_from_qasm_gate_shape_errors_carry_their_position():
             from_qasm(base + "s q[1];  " + stmt + "\n")
         assert (err.value.line, err.value.column) == (4, 10)
         assert needle in str(err.value)
+
+
+def test_from_qasm_register_size_error_sits_at_its_qreg():
+    # the size is checked once the text is read, but reported where it stands
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(QASM_HEADER + "\n  qreg q[0];\n")
+    assert (err.value.line, err.value.column) == (4, 3)
+    assert "need at least 1 qubit" in str(err.value)
 
 
 def test_from_qasm_bounds_angles():

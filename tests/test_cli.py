@@ -1,5 +1,6 @@
 """Command-line workflows: evolve, compress, verify, and diagnostics."""
 
+import dataclasses
 import json
 import math
 import os
@@ -433,6 +434,31 @@ def test_evolve_all_refuses_three_axis_couplings_before_other_engines(tmp_path, 
     assert "three-axis couplings are outside the compressible families" in capsys.readouterr().err
     assert attempted == ["compressed"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("evolve_noisy_trotter", ["--seed", "9"]),
+    ("evolve_noisy_compressed", ["--seed", "9"]),
+    ("evolve_noisy_trotter", ["--mode", "all"]),
+])
+def test_evolve_makes_one_engine_call_per_mode(name, extra, tmp_path, monkeypatch):
+    # a mode's series, noisy companion and block come from one run_dynamics
+    # call, mode positional where the tracer reads it; the config's noise
+    # block serves a single noisy mode, never mode all
+    calls, run_dynamics = [], cli.run_dynamics
+
+    def spy(*args, **kwargs):
+        calls.append((args[3], kwargs.get("noise")))
+        return run_dynamics(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_dynamics", spy)
+    config = GOLDEN / f"{name}.json"
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "m.csv"), *extra]) == 0
+    cfg = load_config(config)
+    if "all" in extra:
+        assert calls == [("compressed", None), ("trotter", None), ("exact", None)]
+    else:
+        assert calls == [(cfg.mode, dataclasses.replace(cfg.noise, seed=9))]
 
 
 def test_compress_from_config_stats(tmp_path, capsys):

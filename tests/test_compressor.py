@@ -350,6 +350,15 @@ def test_turnovers_per_step_once_the_word_is_full():
             assert moves == [moves[0], moves[0] + per_step, moves[0] + 2 * per_step], (n, j)
 
 
+def test_absorb_layer_refuses_a_block_word_that_is_not_reduced():
+    # the same gate on pair 0 in slots 0 and 2, nothing between: a valid
+    # template placement whose word is not reduced, so it cannot be reloaded
+    g = PairGate(0, RGateParams(0.3, 0.2), HamiltonianClass.XZ.family.conjugation)
+    block = CompressedBlock(((g,), (), (g,)), HamiltonianClass.XZ, 0.0, 0)
+    with pytest.raises(ValueError, match="block word is not reduced; cannot reload"):
+        absorb_layer(block, [])
+
+
 def test_compressed_steps_end_on_the_compressed_circuit():
     # the stream and compress run one engine over the same gates in the same
     # order, so the stream's last block is compress's, bit for bit

@@ -17,7 +17,6 @@ from spinchain.simulator import (
     neel_state,
     run_dynamics,
     run_noisy,
-    run_noisy_dynamics,
     run_noisy_series,
     staggered_magnetization,
 )
@@ -270,7 +269,7 @@ def test_noisy_compressed_rows_equal_run_noisy_on_each_block(monkeypatch):
             monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or default_rng(seed))
             monkeypatch.setattr(simulator, "_NOISE_CHUNK", chunk)
             monkeypatch.setattr(simulator, "_DRAW_BYTES", draw_bytes)
-            series = run_noisy_dynamics(n, j, plan, "compressed", noise, init)
+            series = run_dynamics(n, j, plan, "compressed", init, noise).noisy
             monkeypatch.undo()
             assert series.rows[0][2] == staggered_magnetization(init)
             assert [m for _, _, m in series.rows[1:]] == expected
@@ -294,10 +293,10 @@ def test_noisy_runs_of_a_gate_free_circuit_stay_on_the_initial_state():
     assert run_noisy_series(c, 3, noise) == [(1.0, 0.0)] * 4
 
 
-def test_run_noisy_dynamics_rejects_noiseless_modes():
+def test_run_dynamics_rejects_noise_under_exact():
     with pytest.raises(ValueError, match="trotter or compressed"):
-        run_noisy_dynamics(3, CouplingParams(1.0, 0.0, 0.0), TrotterPlan(0.1, 0.1), "exact",
-                           NoiseModel(0.1, 0.1, 4, 0))
+        run_dynamics(3, CouplingParams(1.0, 0.0, 0.0), TrotterPlan(0.1, 0.1), "exact",
+                     noise=NoiseModel(0.1, 0.1, 4, 0))
 
 
 @pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 1), (1, 2)])
