@@ -65,6 +65,10 @@ def _integer(value, field: str) -> int:
 
 
 def _parse_couplings(data: dict) -> CouplingParams:
+    if "J" in data and "class" in data:
+        raise ConfigError("config takes either 'J' or 'class', not both")
+    if "strength" in data and "class" not in data:
+        raise ConfigError("config field 'strength' needs 'class'")
     if "J" in data:
         j = data["J"]
         if not isinstance(j, dict):

@@ -150,14 +150,14 @@ class _WordEngine:
         # time-ordered letters f@j, h@i, g@j with |i-j| = 1 become a@i, b@j,
         # c@i; the mirrored output triple solves both layout orientations, so
         # one solver direction covers j < i and j > i alike
-        sol = solve(YbeTriple.from_angles(((g[1], g[2]), (h[1], h[2]), (f[1], f[2]))))
+        sol = solve(YbeTriple(((g[1], g[2]), (h[1], h[2]), (f[1], f[2]))))
         self.residual += sol.residual
         self.moves += 1
         if self.residual > RESIDUAL_BUDGET:
             raise ResidualBudgetError(
                 f"accumulated residual {self.residual:.3e} exceeds {RESIDUAL_BUDGET:g}"
             )
-        r = sol.triple.angles()
+        r = sol.triple.pairs
         return [h[0], *r[2]], [f[0], *r[1]], [h[0], *r[0]]
 
     def _braid(self, q: int) -> None:

@@ -48,52 +48,33 @@ class YbeForm(Enum):
         return YbeForm.RIGHT if self is YbeForm.LEFT else YbeForm.LEFT
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class YbeTriple:
     """Three R gates in bridge layout, listed in operator order.
 
-    Held as (gamma, delta) pairs, the form the solver reads; gates gives
-    them back as RGateParams.
+    Given as three RGateParams or (gamma, delta) pairs, held as finite float
+    pairs, the form the solver reads; gates gives them back as RGateParams.
     """
 
     pairs: AngleTriple
-    form: YbeForm
+    form: YbeForm = YbeForm.LEFT
 
-    def __init__(self, gates, form: YbeForm = YbeForm.LEFT) -> None:
-        if len(gates) != 3:
-            raise ValueError(f"need exactly 3 gates, got {len(gates)}")
-        for g in gates:
-            if not isinstance(g, RGateParams):
-                raise TypeError(f"gates must be RGateParams, got {type(g)!r}")
-        self._set(tuple((g.gamma, g.delta) for g in gates), form)
-
-    @classmethod
-    def from_angles(cls, angles, form: YbeForm = YbeForm.LEFT) -> "YbeTriple":
-        """The triple of three finite (gamma, delta) pairs, built without RGateParams."""
-        pairs = tuple((float(g), float(d)) for g, d in angles)
+    def __post_init__(self) -> None:
+        pairs = tuple(
+            (float(g), float(d))
+            for g, d in (p.as_tuple() if isinstance(p, RGateParams) else p for p in self.pairs)
+        )
         if len(pairs) != 3:
             raise ValueError(f"need exactly 3 gates, got {len(pairs)}")
         if not all(math.isfinite(g) and math.isfinite(d) for g, d in pairs):
             raise ValueError(f"R params must be finite, got {pairs!r}")
-        t = cls.__new__(cls)
-        t._set(pairs, form)
-        return t
-
-    def _set(self, pairs: AngleTriple, form: YbeForm) -> None:
-        if not isinstance(form, YbeForm):
-            raise TypeError(f"form must be a YbeForm, got {form!r}")
+        if not isinstance(self.form, YbeForm):
+            raise TypeError(f"form must be a YbeForm, got {self.form!r}")
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "form", form)
 
     @property
     def gates(self) -> tuple[RGateParams, RGateParams, RGateParams]:
         return tuple(RGateParams(g, d) for g, d in self.pairs)
-
-    def angles(self) -> AngleTriple:
-        return self.pairs
-
-    def unitary(self) -> np.ndarray:
-        return triple_unitary(self.pairs, self.form)
 
 
 @dataclass(frozen=True)
@@ -111,14 +92,10 @@ class YbeSolution:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Signed values of the sixteen relations plus the matrix residual."""
+    """Largest magnitude of the sixteen relations plus the matrix residual."""
 
-    relations: tuple[float, ...]
+    max_relation: float
     matrix_residual: float
-
-    @property
-    def max_relation(self) -> float:
-        return max(map(abs, self.relations))
 
     @property
     def residual(self) -> float:
@@ -133,21 +110,19 @@ class RelationReport:
 
 
 class UnsolvedError(Exception):
-    """No candidate met the solver tolerance; carries the best verified residual.
+    """No candidate met the solver tolerance; carries the best candidate's report.
 
-    With the best candidate's report, the message also names the check it
-    failed: the sixteen relations or the 8x8 matrix identity.
+    The message gives its verified residual and names the check it failed:
+    the sixteen relations or the 8x8 matrix identity.
     """
 
-    def __init__(self, best_residual: float, report: RelationReport | None = None) -> None:
-        message = f"no solution below tolerance {SOLVER_TOL:g}; best residual {best_residual:.3e}"
-        if report is not None:
-            message += (
-                f" fails the {report.worst_check} (relations {report.max_relation:.3e},"
-                f" 8x8 matrix {report.matrix_residual:.3e})"
-            )
-        super().__init__(message)
-        self.best_residual = best_residual
+    def __init__(self, report: RelationReport) -> None:
+        super().__init__(
+            f"no solution below tolerance {SOLVER_TOL:g}; best residual {report.residual:.3e}"
+            f" fails the {report.worst_check} (relations {report.max_relation:.3e},"
+            f" 8x8 matrix {report.matrix_residual:.3e})"
+        )
+        self.best_residual = report.residual
         self.report = report
 
 
@@ -159,12 +134,6 @@ def wrap_angle(x: float) -> float:
     """
     y = (float(x) + math.pi) % _TWO_PI - math.pi
     return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
-
-
-def _coerce(t: YbeTriple, form: YbeForm) -> AngleTriple:
-    if t.form is not form:
-        raise ValueError(f"expected a {form.value}-form triple, got {t.form.value}")
-    return t.angles()
 
 
 # The entries of R(gamma, delta) as ids of its distinct values: outer-block
@@ -292,14 +261,16 @@ def _report(t: AngleTriple, out: AngleTriple) -> RelationReport:
     rel = relations(t, out)
     m = _embedded(t + out, _PAIR_LAYOUT)
     mat = float(np.linalg.norm(m[0] @ m[1] @ m[2] - m[3] @ m[4] @ m[5]))
-    return RelationReport(tuple(rel.tolist()), mat)
+    return RelationReport(max(map(abs, rel.tolist())), mat)
 
 
 def verify_relations(left, right) -> RelationReport:
     """Evaluate the sixteen relations and the 8x8 residual for a LEFT/RIGHT pair."""
-    lt = _coerce(left, YbeForm.LEFT)
-    rt = _coerce(right, YbeForm.RIGHT)
-    return _report(lt, rt)
+    if left.form is not YbeForm.LEFT or right.form is not YbeForm.RIGHT:
+        raise ValueError(
+            f"need a left- then a right-form triple, got {left.form.value}, {right.form.value}"
+        )
+    return _report(left.pairs, right.pairs)
 
 
 # candidate branch table: all 6-bit pi-shift patterns of the aggregates
@@ -351,12 +322,11 @@ def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
 
 
 def _solution(out: AngleTriple, form: YbeForm, residual: float, method: str) -> YbeSolution:
-    return YbeSolution(YbeTriple.from_angles(out, form), residual, method)
+    return YbeSolution(YbeTriple(out, form), residual, method)
 
 
 def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
-    best = min(reports, key=lambda r: r.residual)
-    return UnsolvedError(best.residual, best)
+    return UnsolvedError(min(reports, key=lambda r: r.residual))
 
 
 def _numeric_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:

@@ -68,6 +68,8 @@ def test_load_config_diagnostics(tmp_path):
         ({**BASE_CONFIG, "noise": {"p1": 2.0}}, "noise"),
         ({**BASE_CONFIG, "noise": {"chance": 0.1}}, "chance"),
         ({**BASE_CONFIG, "mode": "warp"}, "mode"),
+        ({**BASE_CONFIG, "J": {"x": 0.5}, "class": "xy", "strength": 2.0}, "class"),
+        ({**BASE_CONFIG, "J": {"x": 0.5}, "strength": 2.0}, "strength"),
     ]
     for data, needle in bad:
         path = tmp_path / "bad.json"
@@ -587,6 +589,22 @@ def test_evolve_output_matches_golden_bytes(name, tmp_path, capsys):
     assert written == sorted(p.name for p in GOLDEN.glob(f"{name}.*csv"))
     for fname in written:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes(), fname
+
+
+def test_compress_over_the_residual_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # with no budget the first move with a nonzero residual trips the guard,
+    # in the engine and through the CLI, which then writes nothing
+    monkeypatch.setattr(compressor, "RESIDUAL_BUDGET", 0.0)
+    config = GOLDEN / "compress_xy.json"
+    cfg = load_config(config)
+    with pytest.raises(compressor.ResidualBudgetError):
+        compressor.compress(build_trotter_circuit(cfg.spins, cfg.j, cfg.plan))
+    qasm_out = tmp_path / "out.qasm"
+    assert main(["compress", "--config", str(config), "--qasm-out", str(qasm_out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: accumulated residual")
+    assert captured.out == ""
+    assert not qasm_out.exists()
 
 
 def test_compress_keeps_gates_with_angles_near_pi(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spinchain.propagators import RGateParams, r_matrix
 from spinchain.ybe import (
     SOLVER_TOL,
+    RelationReport,
     UnsolvedError,
     YbeForm,
     YbeSolution,
@@ -102,12 +103,12 @@ def reference_relations(left, right):
 def test_relations_match_written_out_rows_exactly():
     rng = np.random.default_rng(SEED + 8)
     for _ in range(200):
-        left = random_triple(rng).angles()
-        right = random_triple(rng, YbeForm.RIGHT).angles()
+        left = random_triple(rng).pairs
+        right = random_triple(rng, YbeForm.RIGHT).pairs
         assert np.array_equal(relations(left, right), reference_relations(left, right))
     # a 64-wide candidate batch on either side, as the branch sweep uses it
     for _ in range(20):
-        fixed = random_triple(rng).angles()
+        fixed = random_triple(rng).pairs
         batch = tuple((rng.uniform(-4, 4, 64), rng.uniform(-4, 4, 64)) for _ in range(3))
         for left, right in ((fixed, batch), (batch, fixed)):
             got = relations(left, right)
@@ -120,7 +121,7 @@ def test_triple_unitary_matches_kron_oracle():
     for _ in range(100):
         for form in (YbeForm.LEFT, YbeForm.RIGHT):
             t = random_triple(rng, form)
-            assert np.max(np.abs(t.unitary() - kron_unitary(t))) < 1e-12
+            assert np.max(np.abs(triple_unitary(t.pairs, t.form) - kron_unitary(t))) < 1e-12
 
 
 def test_triple_unitary_equals_kron_products_bitwise():
@@ -189,7 +190,7 @@ SPECIAL_ANGLES = (
 )
 ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi))
 TRIPLES = st.builds(
-    YbeTriple.from_angles, st.lists(st.tuples(ANGLES, ANGLES), min_size=3, max_size=3), st.sampled_from(YbeForm)
+    YbeTriple, st.lists(st.tuples(ANGLES, ANGLES), min_size=3, max_size=3), st.sampled_from(YbeForm)
 )
 
 
@@ -207,14 +208,20 @@ def test_solve_round_trip_property(t):
 
 def assert_same_solve_as_left(solver, left):
     # a right-layout triple is the site mirror of the left one with the same
-    # pairs, so it has the same solution, labelled with the flipped form
-    right = YbeTriple.from_angles(left.pairs, YbeForm.RIGHT)
+    # pairs, so it has the same solution, labelled with the flipped form; the
+    # same pairs given as RGateParams make an equal triple and the same solve
+    right = YbeTriple(left.pairs, YbeForm.RIGHT)
+    gates = YbeTriple(left.gates)
+    assert gates == left
     try:
         want = solver(left)
     except UnsolvedError:
-        with pytest.raises(UnsolvedError):
-            solver(right)
+        for t in (right, gates):
+            with pytest.raises(UnsolvedError):
+                solver(t)
         return
+    got = solver(gates)
+    assert (got.triple, got.residual, got.method) == (want.triple, want.residual, want.method)
     got = solver(right)
     assert got.triple.form is YbeForm.LEFT
     assert (got.triple.pairs, got.residual, got.method) == (want.triple.pairs, want.residual, want.method)
@@ -223,7 +230,7 @@ def assert_same_solve_as_left(solver, left):
 def test_right_layout_solves_as_its_left_mirror():
     rng = np.random.default_rng(SEED + 10)
     for angles in rng.choice(SPECIAL_ANGLES, (800, 3, 2)):
-        assert_same_solve_as_left(solve, YbeTriple.from_angles(angles))
+        assert_same_solve_as_left(solve, YbeTriple(angles))
     # criterion 2's singular shapes, where the numeric fallback is the path
     shapes = [
         lambda r: ((r.uniform(-1, 1), 0.1), (np.pi / 2, r.uniform(-1, 1)), (0.2, 0.5)),
@@ -233,7 +240,7 @@ def test_right_layout_solves_as_its_left_mirror():
         lambda r: ((0.4, np.pi / 2), (0.3, r.uniform(-1, 1)), (0.2, np.pi / 2)),
     ]
     for k in range(20):
-        assert_same_solve_as_left(numeric_fallback, YbeTriple.from_angles(shapes[k % 5](rng)))
+        assert_same_solve_as_left(numeric_fallback, YbeTriple(shapes[k % 5](rng)))
 
 
 def test_solve_middle_identity_merges_outer_gates():
@@ -242,7 +249,7 @@ def test_solve_middle_identity_merges_outer_gates():
         (RGateParams(0.31, -0.2), RGateParams(0.0, 0.0), RGateParams(0.5, 0.7))
     )
     sol = solve(t)
-    (g1, d1), (g2, d2), (g3, d3) = sol.triple.angles()
+    (g1, d1), (g2, d2), (g3, d3) = sol.triple.pairs
     assert (g1, d1) == (0.0, 0.0)
     assert (g3, d3) == (0.0, 0.0)
     assert g2 == pytest.approx(0.31 + 0.5, abs=1e-12)
@@ -283,7 +290,7 @@ def test_solution_wraps_angles_to_principal_branch():
     for _ in range(50):
         t = random_triple(rng)
         sol = solve(t)
-        for gamma, delta in sol.triple.angles():
+        for gamma, delta in sol.triple.pairs:
             assert -np.pi < gamma <= np.pi + 1e-15
             assert -np.pi < delta <= np.pi + 1e-15
 
@@ -306,6 +313,12 @@ def test_triple_validation():
     with pytest.raises(ValueError):
         YbeTriple((RGateParams(0.1, 0.2),) * 2)
     with pytest.raises(ValueError):
+        YbeTriple(((0.1, 0.2), (math.nan, 0.3), (0.4, 0.5)))
+    with pytest.raises(TypeError):
+        YbeTriple(((0.1, 0.2),) * 3, "left")
+    with pytest.raises(ValueError):
+        verify_relations(YbeTriple(((0.1, 0.2),) * 3, YbeForm.RIGHT), YbeTriple(((0.1, 0.2),) * 3))
+    with pytest.raises(ValueError):
         YbeSolution(
             YbeTriple((RGateParams(0.0, 0.0),) * 3), 0.0, "guesswork"
         )
@@ -326,6 +339,8 @@ def test_unsolved_error_reports_a_verified_residual():
 
 
 def test_unsolved_error_carries_best_residual():
-    err = UnsolvedError(0.125)
+    report = RelationReport(0.125, 0.0625)
+    err = UnsolvedError(report)
     assert err.best_residual == 0.125
+    assert err.report is report
     assert "0.125" in str(err) or "1.25" in str(err)
