@@ -4,9 +4,10 @@ Three R gates laid out on three chain sites in the bridge pattern
 (outer pair, inner pair, outer pair) equal another triple in the mirrored
 pattern whenever sixteen trigonometric relations hold between the two
 parameter sets. This module solves for the mirrored parameters in closed
-form, falls back to a seeded multistart least-squares search when the
-closed form degrades, and verifies every candidate against both the
-relations and the dense 8x8 matrix identity.
+form, one candidate per triple, falls back to a seeded multistart
+least-squares search when that candidate fails verification, and verifies
+every candidate against both the relations and the dense 8x8 matrix
+identity.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ def relations(left, right) -> np.ndarray:
 
     Both arguments are triples of (gamma, delta) pairs, left in LEFT layout
     and right in RIGHT layout. The six entries of one side are all scalars
-    or all arrays of one shape (a batch of candidates); the two sides
-    broadcast against each other and the rows run along the first axis.
+    or all arrays of one shape; the two sides broadcast against each other
+    and the rows run along the first axis.
     """
     lp = _products(left, _LEFT_FACTORS)
     rp = _products(right, _RIGHT_FACTORS)
@@ -273,11 +274,7 @@ def verify_relations(left, right) -> RelationReport:
     return _report(left.pairs, right.pairs)
 
 
-# candidate branch table: all 6-bit pi-shift patterns of the aggregates
-_SHIFTS = np.array([[(k >> i) & 1 for i in range(6)] for k in range(64)], dtype=float) * np.pi
-
-
-def _aggregates(t: AngleTriple) -> np.ndarray:
+def _aggregates(t: AngleTriple) -> tuple[float, float, float, float, float, float]:
     """Sum/difference aggregates and middle angles of the mirrored triple.
 
     Solves the relation system for (g4+g6, g4-g6, d4+d6, d4-d6, g5, d5)
@@ -300,16 +297,17 @@ def _aggregates(t: AngleTriple) -> np.ndarray:
     sd5 = cos(m) * cg2 * sdp - sin(m) * sg2 * sdm
     cd5 = cos(p) * cg2 * cdp + sin(p) * sg2 * cdm
     g5, d5 = np.arctan2((sg5, sd5), (cg5, cd5)).tolist()
-    return np.array((p, m, q, n, g5, d5))
+    return p, m, q, n, g5, d5
 
 
 def _analytic_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
-    """Closed-form solve; branch chosen among 64 pi-shift candidates."""
-    p, m, q, n, g5, d5 = (_aggregates(t) + _SHIFTS).T
-    batch = (((p + m) / 2, (q + n) / 2), (g5, d5), ((p - m) / 2, (q - n) / 2))
-    rel = np.abs(relations(t, batch)).max(axis=0)
-    k = int(np.argmin(rel))
-    out = tuple((wrap_angle(a[k]), wrap_angle(b[k])) for a, b in batch)
+    """Closed-form solve: the one candidate the aggregates give, verified."""
+    p, m, q, n, g5, d5 = _aggregates(t)
+    out = (
+        (wrap_angle((p + m) / 2), wrap_angle((q + n) / 2)),
+        (wrap_angle(g5), wrap_angle(d5)),
+        (wrap_angle((p - m) / 2), wrap_angle((q - n) / 2)),
+    )
     return out, _report(t, out)
 
 

@@ -106,7 +106,7 @@ def test_relations_match_written_out_rows_exactly():
         left = random_triple(rng).pairs
         right = random_triple(rng, YbeForm.RIGHT).pairs
         assert np.array_equal(relations(left, right), reference_relations(left, right))
-    # a 64-wide candidate batch on either side, as the branch sweep uses it
+    # a 64-wide batch on either side: relations broadcasts one side's arrays
     for _ in range(20):
         fixed = random_triple(rng).pairs
         batch = tuple((rng.uniform(-4, 4, 64), rng.uniform(-4, 4, 64)) for _ in range(3))
@@ -192,6 +192,23 @@ ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi)
 TRIPLES = st.builds(
     YbeTriple, st.lists(st.tuples(ANGLES, ANGLES), min_size=3, max_size=3), st.sampled_from(YbeForm)
 )
+
+
+WIDE_ANGLES = st.floats(-1e3, 1e3)
+WIDE_TRIPLES = st.builds(
+    YbeTriple,
+    st.lists(st.tuples(WIDE_ANGLES, WIDE_ANGLES), min_size=3, max_size=3),
+    st.sampled_from(YbeForm),
+)
+
+
+@given(st.one_of(TRIPLES, WIDE_TRIPLES))
+def test_closed_form_verifies_without_the_fallback(t):
+    # the closed form gives one candidate; it must verify on its own, or the
+    # slow numeric fallback would silently absorb the cost
+    sol = solve(t)
+    assert sol.method == "analytic"
+    assert sol.residual < SOLVER_TOL
 
 
 @given(TRIPLES)
