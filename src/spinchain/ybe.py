@@ -6,8 +6,10 @@ pattern whenever sixteen trigonometric relations hold between the two
 parameter sets. This module solves for the mirrored parameters in closed
 form, one candidate per triple, falls back to a seeded multistart
 least-squares search when that candidate fails verification, and verifies
-every candidate against both the relations and the dense 8x8 matrix
-identity.
+every candidate twice: by the relations, which fix the triple's unitary,
+and by its 6x6 Majorana rotation, which fixes the unitary up to sign. Both
+checks are scalar arithmetic; the 8x8 unitary is built only for the
+fallback's fit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .propagators import RGateParams
+from .propagators import RGateParams, r_matrix
 from .spin_model import ZERO_TOL
 
 SOLVER_TOL = 1e-9
@@ -93,7 +95,8 @@ class YbeSolution:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Largest magnitude of the sixteen relations plus the matrix residual."""
+    """Largest magnitude of the sixteen relations, and the Frobenius distance
+    between the two triples' 6x6 Majorana rotations (matrix_residual)."""
 
     max_relation: float
     matrix_residual: float
@@ -106,7 +109,7 @@ class RelationReport:
     def worst_check(self) -> str:
         """The check that sets the residual."""
         if self.matrix_residual > self.max_relation:
-            return "8x8 matrix identity"
+            return "6x6 rotation identity"
         return "sixteen relations"
 
 
@@ -114,14 +117,14 @@ class UnsolvedError(Exception):
     """No candidate met the solver tolerance; carries the best candidate's report.
 
     The message gives its verified residual and names the check it failed:
-    the sixteen relations or the 8x8 matrix identity.
+    the sixteen relations or the 6x6 rotation identity.
     """
 
     def __init__(self, report: RelationReport) -> None:
         super().__init__(
             f"no solution below tolerance {SOLVER_TOL:g}; best residual {report.residual:.3e}"
             f" fails the {report.worst_check} (relations {report.max_relation:.3e},"
-            f" 8x8 matrix {report.matrix_residual:.3e})"
+            f" 6x6 rotation {report.matrix_residual:.3e})"
         )
         self.best_residual = report.residual
         self.report = report
@@ -137,136 +140,92 @@ def wrap_angle(x: float) -> float:
     return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
 
 
-# The entries of R(gamma, delta) as ids of its distinct values: outer-block
-# cos, inner-block cos, outer i sin, inner i sin, and 0 (see _embedded).
-_R_ENTRIES = np.array([[0, 4, 4, 2], [4, 1, 3, 4], [4, 3, 1, 4], [2, 4, 4, 0]])
-
-
-def _gate_layout(low: bool, gate: int, gates: int) -> np.ndarray:
-    # np.kron(r, 1) (low) or np.kron(1, r) as flat indices into the (2, 5,
-    # gates) value table of _embedded: slab 0 holds r * 1, slab 1 holds r * 0
-    off = 5 * (1 - np.eye(2, dtype=int))
-    if low:
-        ids = _R_ENTRIES[:, None, :, None] + off[None, :, None, :]
-    else:
-        ids = off[:, None, :, None] + _R_ENTRIES[None, :, None, :]
-    return ids.reshape(8, 8) * gates + gate
-
-
-def _layout(forms: tuple[YbeForm, ...]) -> np.ndarray:
-    gates = 3 * len(forms)
-    return np.stack([
-        _gate_layout((form is YbeForm.LEFT) == (k % 2 == 0), 3 * i + k, gates)
-        for i, form in enumerate(forms)
-        for k in range(3)
-    ])
-
-
-_LAYOUT = {form: _layout((form,)) for form in YbeForm}
-# a left-layout triple and its right-layout mirror, six gates in one table
-_PAIR_LAYOUT = _layout((YbeForm.LEFT, YbeForm.RIGHT))
-_EXP_SIGNS = np.array((1j, -1j))  # outer block, inner block
-_TY_ZERO = np.array(((-0.0,), (0.0,)))  # gamma - 0, gamma + 0
-_KRON_FACTORS = np.array((1.0 + 0j, 0j))[:, None, None]  # entries of the 2x2 identity
-
-
-def _embedded(angles, layout: np.ndarray) -> np.ndarray:
-    """The gates, given as (gamma, delta) pairs, as 8x8 matrices in a layout.
-
-    Each entry is the product that np.kron(r_matrix(...), 1) or
-    np.kron(1, r_matrix(...)) evaluates, so the values, signed zeros
-    included, are the same. r_matrix goes through xyz_propagator with
-    tx = gamma, ty = 0: its outer block uses gamma - 0, its inner gamma + 0.
-    """
-    gammas, deltas = np.array(angles, dtype=float).T
-    phase = np.exp(np.multiply.outer(_EXP_SIGNS, deltas))
-    g = gammas + _TY_ZERO
-    values = np.concatenate(
-        (phase * np.cos(g), phase * 1j * np.sin(g), np.zeros((1, len(gammas)), dtype=complex))
-    )
-    return (_KRON_FACTORS * values).ravel()[layout]
-
-
 def triple_unitary(t: AngleTriple, form: YbeForm) -> np.ndarray:
     """Dense 8x8 operator of a bridge-layout triple."""
-    m1, m2, m3 = _embedded(t, _LAYOUT[form])
+    eye = np.eye(2)
+    m1, m2, m3 = (
+        np.kron(r, eye) if (form is YbeForm.LEFT) == (k % 2 == 0) else np.kron(eye, r)
+        for k, r in enumerate(r_matrix(RGateParams(g, d)) for g, d in t)
+    )
     return m1 @ m2 @ m3
 
 
-# The sixteen relations, one row each: the factors of the left product, then
-# those of the right product, in multiplication order. For a triple
-# ((g1, d1), (g2, d2), (g3, d3)), "g" is g2, "g+" and "g-" are g1 + g3 and
-# g1 - g3, and "d", "d+", "d-" the same for the deltas; a leading minus
-# negates the first factor. Each row is left product minus right product.
-_RELATION_ROWS = (
-    "s(g) c(g-) c(d-) s(d) | c(g) s(g+) s(d+) c(d)",
-    "c(g) c(g-) c(d+) s(d) | c(g) c(g+) s(d+) c(d)",
-    "-s(g) c(g+) s(d-) c(d) | c(g) s(g-) c(d+) s(d)",
-    "c(g) c(g+) s(d+) c(d) | c(g) c(g-) c(d+) s(d)",
-    "s(g) c(g+) c(d-) c(d) | c(g) s(g+) c(d+) c(d)",
-    "c(g) c(g+) c(d+) c(d) | c(g) c(g+) c(d+) c(d)",
-    "-s(g) c(g-) s(d-) s(d) | c(g) s(g-) s(d+) s(d)",
-    "c(g) c(g-) s(d+) s(d) | c(g) c(g-) s(d+) s(d)",
-    "s(g) s(g+) c(d-) c(d) | s(g) s(g+) c(d-) c(d)",
-    "c(g) s(g+) c(d+) c(d) | s(g) c(g+) c(d-) c(d)",
-    "s(g) s(g-) s(d-) s(d) | s(g) s(g-) s(d-) s(d)",
-    "-c(g) s(g-) s(d+) s(d) | s(g) c(g-) s(d-) s(d)",
-    "-s(g) s(g-) c(d-) s(d) | s(g) s(g+) s(d-) c(d)",
-    "-c(g) s(g-) c(d+) s(d) | s(g) c(g+) s(d-) c(d)",
-    "-s(g) s(g+) s(d-) c(d) | s(g) s(g-) c(d-) s(d)",
-    "c(g) s(g+) s(d+) c(d) | s(g) c(g-) c(d-) s(d)",
-)
-_FACTOR_ANGLES = ("g", "g+", "g-", "d+", "d-", "d")
-
-
-def _row_indices(side: int) -> np.ndarray:
-    # factor -> index into the sines, then the cosines, of _FACTOR_ANGLES
-    idx = [
-        [
-            "sc".index(f[0]) * 6 + _FACTOR_ANGLES.index(f[2:-1])
-            for f in row.split(" | ")[side].lstrip("-").split()
-        ]
-        for row in _RELATION_ROWS
-    ]
-    return np.array(idx).T
-
-
-_LEFT_FACTORS = _row_indices(0)
-_RIGHT_FACTORS = _row_indices(1)
-_LEFT_SIGNS = np.array([-1.0 if row.startswith("-") else 1.0 for row in _RELATION_ROWS])
-
-
-def _products(t, factors: np.ndarray) -> np.ndarray:
-    """The sixteen four-factor products of one side, in row order."""
-    (g1, d1), (g2, d2), (g3, d3) = t
-    a = np.array((g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3, d2), dtype=float)
-    f = np.concatenate((np.sin(a), np.cos(a)))[factors]
-    return f[0] * f[1] * f[2] * f[3]
-
-
-def relations(left, right) -> np.ndarray:
+def relations(left, right) -> list[float]:
     """The sixteen product relations; all vanish iff the matrix identity holds.
 
-    Both arguments are triples of (gamma, delta) pairs, left in LEFT layout
-    and right in RIGHT layout. The six entries of one side are all scalars
-    or all arrays of one shape; the two sides broadcast against each other
-    and the rows run along the first axis.
+    left is a LEFT-layout and right a RIGHT-layout triple of (gamma, delta)
+    pairs. Each row is a product of four sines and cosines of the left
+    triple minus one of the right; for left ((g1, d1), (g2, d2), (g3, d3))
+    the factors are of g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3 and d2, and
+    likewise for right, whose names carry an r.
     """
-    lp = _products(left, _LEFT_FACTORS)
-    rp = _products(right, _RIGHT_FACTORS)
-    # the sign is exact, so it equals negating the first factor
-    return (_LEFT_SIGNS * lp.T - rp.T).T
+    (g1, d1), (g2, d2), (g3, d3) = left
+    (g4, d4), (g5, d5), (g6, d6) = right
+    a = (g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3, d2, g5, g4 + g6, g4 - g6, d4 + d6, d4 - d6, d5)
+    sg, sgp, sgm, sdp, sdm, sd, rsg, rsgp, rsgm, rsdp, rsdm, rsd = np.sin(a).tolist()
+    cg, cgp, cgm, cdp, cdm, cd, rcg, rcgp, rcgm, rcdp, rcdm, rcd = np.cos(a).tolist()
+    return [
+        sg * cgm * cdm * sd - rcg * rsgp * rsdp * rcd,
+        cg * cgm * cdp * sd - rcg * rcgp * rsdp * rcd,
+        -sg * cgp * sdm * cd - rcg * rsgm * rcdp * rsd,
+        cg * cgp * sdp * cd - rcg * rcgm * rcdp * rsd,
+        sg * cgp * cdm * cd - rcg * rsgp * rcdp * rcd,
+        cg * cgp * cdp * cd - rcg * rcgp * rcdp * rcd,
+        -sg * cgm * sdm * sd - rcg * rsgm * rsdp * rsd,
+        cg * cgm * sdp * sd - rcg * rcgm * rsdp * rsd,
+        sg * sgp * cdm * cd - rsg * rsgp * rcdm * rcd,
+        cg * sgp * cdp * cd - rsg * rcgp * rcdm * rcd,
+        sg * sgm * sdm * sd - rsg * rsgm * rsdm * rsd,
+        -cg * sgm * sdp * sd - rsg * rcgm * rsdm * rsd,
+        -sg * sgm * cdm * sd - rsg * rsgp * rsdm * rcd,
+        -cg * sgm * cdp * sd - rsg * rcgp * rsdm * rcd,
+        -sg * sgp * sdm * cd - rsg * rsgm * rcdm * rsd,
+        cg * sgp * sdp * cd - rsg * rcgm * rcdm * rsd,
+    ]
+
+
+# The Majorana rotation of a triple (Jozsa and Miyake, Proc. R. Soc. A 464,
+# 3089 (2008)). With Majoranas c_2k = Z..Z X_k and c_2k+1 = Z..Z Y_k on three
+# sites and G a gate conjugated by rx(pi/2) on every qubit, G c_j G^dag =
+# sum_i M_ij c_i for a real rotation M. A product of gates has the product of
+# their rotations, and -G has the rotation of G. R(gamma, delta) on the pair
+# whose Majoranas start at a (0 low, 2 high) turns plane (a + 2, a + 1) by
+# 2 gamma and plane (a, a + 3) by 2 delta; a turn by theta in plane (p, q)
+# takes e_p to cos(theta) e_p + sin(theta) e_q. So M splits into two 3x3
+# blocks, on Majoranas (0, 3, 4) and (1, 2, 5). In each, the low gate turns
+# the block's plane (0, 1) and the high gate its plane (1, 2): by 2 delta and
+# -2 gamma in the first block, by -2 gamma and 2 delta in the second.
+
+
+def _euler(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Row-major entries of T01(a) T12(b) T01(c), Tpq a turn in plane (p, q)."""
+    ca, cb, cc = math.cos(a), math.cos(b), math.cos(c)
+    sa, sb, sc = math.sin(a), math.sin(b), math.sin(c)
+    return (
+        ca * cc - sa * cb * sc, -ca * sc - sa * cb * cc, sa * sb,
+        sa * cc + ca * cb * sc, -sa * sc + ca * cb * cc, -ca * sb,
+        sb * sc, sb * cc, cb,
+    )
+
+
+def _rotation(t: AngleTriple, form: YbeForm) -> tuple[float, ...]:
+    """The triple's rotation as its two 3x3 blocks, row-major, (0, 3, 4) first."""
+    (g1, d1), (g2, d2), (g3, d3) = t
+    if form is YbeForm.LEFT:
+        return _euler(2 * d1, -2 * g2, 2 * d3) + _euler(-2 * g1, 2 * d2, -2 * g3)
+    # T12(a) T01(b) T12(c) is T01(-a) T12(-b) T01(-c) with a block's three
+    # indices reversed, which reverses its row-major entries
+    return _euler(2 * g1, -2 * d2, 2 * g3)[::-1] + _euler(-2 * d1, 2 * g2, -2 * d3)[::-1]
 
 
 def _report(t: AngleTriple, out: AngleTriple) -> RelationReport:
-    rel = relations(t, out)
-    m = _embedded(t + out, _PAIR_LAYOUT)
-    mat = float(np.linalg.norm(m[0] @ m[1] @ m[2] - m[3] @ m[4] @ m[5]))
-    return RelationReport(max(map(abs, rel.tolist())), mat)
+    rel = max(map(abs, relations(t, out)))
+    diff = [x - y for x, y in zip(_rotation(t, YbeForm.LEFT), _rotation(out, YbeForm.RIGHT))]
+    return RelationReport(rel, math.sqrt(math.fsum(d * d for d in diff)))
 
 
 def verify_relations(left, right) -> RelationReport:
-    """Evaluate the sixteen relations and the 8x8 residual for a LEFT/RIGHT pair."""
+    """Evaluate the sixteen relations and the 6x6 rotation residual for a LEFT/RIGHT pair."""
     if left.form is not YbeForm.LEFT or right.form is not YbeForm.RIGHT:
         raise ValueError(
             f"need a left- then a right-form triple, got {left.form.value}, {right.form.value}"
@@ -370,7 +329,7 @@ def solve(t: YbeTriple) -> YbeSolution:
     """Rewrite a bridge triple into the mirrored form with the same unitary.
 
     The closed-form path is tried first and accepted when the verified
-    residual (matrix and all sixteen relations) is below SOLVER_TOL; the
+    residual (rotation and all sixteen relations) is below SOLVER_TOL; the
     numeric fallback covers anything it misses. Raises UnsolvedError with
     the best verified candidate when both fail. Both layouts are solved by
     the same left-layout formulas: R(gamma, delta) is symmetric under the

@@ -1,7 +1,8 @@
 """Braid mirroring of R-gate triples on three qubits.
 
-Independent oracle: 8x8 operator products built from explicit kron
-embeddings of the two-parameter propagator matrix.
+Independent oracles: 8x8 operator products built from explicit kron
+embeddings of the two-parameter propagator matrix, and the Majorana
+rotation read off dense Jordan-Wigner operators.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from spinchain.propagators import RGateParams, r_matrix
 from spinchain.ybe import (
     SOLVER_TOL,
+    _rotation,
     RelationReport,
     UnsolvedError,
     YbeForm,
@@ -101,19 +103,18 @@ def reference_relations(left, right):
 
 
 def test_relations_match_written_out_rows_exactly():
+    # bit for bit, signed zeros included, with corner angles mixed in
     rng = np.random.default_rng(SEED + 8)
-    for _ in range(200):
-        left = random_triple(rng).pairs
-        right = random_triple(rng, YbeForm.RIGHT).pairs
-        assert np.array_equal(relations(left, right), reference_relations(left, right))
-    # a 64-wide batch on either side: relations broadcasts one side's arrays
-    for _ in range(20):
-        fixed = random_triple(rng).pairs
-        batch = tuple((rng.uniform(-4, 4, 64), rng.uniform(-4, 4, 64)) for _ in range(3))
-        for left, right in ((fixed, batch), (batch, fixed)):
-            got = relations(left, right)
-            assert got.shape == (16, 64)
-            assert np.array_equal(got, reference_relations(left, right))
+    corners = [0.0, -0.0, np.pi, -np.pi, 1e-13]
+    for k in range(400):
+        angles = rng.uniform(-4, 4, 12)
+        if k % 2:
+            mask = rng.random(12) < 0.4
+            angles[mask] = rng.choice(corners, mask.sum())
+        left = tuple((float(angles[i]), float(angles[i + 1])) for i in (0, 2, 4))
+        right = tuple((float(angles[i]), float(angles[i + 1])) for i in (6, 8, 10))
+        got = np.array(relations(left, right))
+        assert got.tobytes() == reference_relations(left, right).tobytes()
 
 
 def test_triple_unitary_matches_kron_oracle():
@@ -122,28 +123,6 @@ def test_triple_unitary_matches_kron_oracle():
         for form in (YbeForm.LEFT, YbeForm.RIGHT):
             t = random_triple(rng, form)
             assert np.max(np.abs(triple_unitary(t.pairs, t.form) - kron_unitary(t))) < 1e-12
-
-
-def test_triple_unitary_equals_kron_products_bitwise():
-    # the dense residual must see the same entries, signed zeros included,
-    # as the np.kron construction of the r_matrix gates
-    rng = np.random.default_rng(SEED + 9)
-    eye = np.eye(2, dtype=complex)
-    specials = [0.0, -0.0, np.pi / 2, -np.pi, 1e-13]
-    for _ in range(200):
-        for form in (YbeForm.LEFT, YbeForm.RIGHT):
-            angles = rng.uniform(-np.pi, np.pi, 6)
-            mask = rng.random(6) < 0.3
-            angles[mask] = rng.choice(specials, mask.sum())
-            t = tuple((float(angles[2 * k]), float(angles[2 * k + 1])) for k in range(3))
-            mats = [
-                np.kron(r_matrix(RGateParams(*p)), eye)
-                if (form is YbeForm.LEFT) == (k % 2 == 0)
-                else np.kron(eye, r_matrix(RGateParams(*p)))
-                for k, p in enumerate(t)
-            ]
-            expected = mats[0] @ mats[1] @ mats[2]
-            assert triple_unitary(t, form).tobytes() == expected.tobytes()
 
 
 def test_form_opposite():
@@ -200,6 +179,60 @@ WIDE_TRIPLES = st.builds(
     st.lists(st.tuples(WIDE_ANGLES, WIDE_ANGLES), min_size=3, max_size=3),
     st.sampled_from(YbeForm),
 )
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]])
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def string_op(k, p):
+    # Z on the sites before k, p on site k, identity after
+    ops = [PAULI_Z] * k + [p] + [np.eye(2)] * (2 - k)
+    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
+# c_2k = Z..Z X_k and c_2k+1 = Z..Z Y_k on three sites
+MAJORANAS = [string_op(k, p) for k in range(3) for p in (PAULI_X, PAULI_Y)]
+RX_HALF_PI = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)
+RX_ALL = np.kron(np.kron(RX_HALF_PI, RX_HALF_PI), RX_HALF_PI)
+# the Majoranas of the two 3x3 blocks a triple's rotation splits into
+BLOCKS = ((0, 3, 4), (1, 2, 5))
+
+
+def jordan_wigner_rotation(u):
+    # M_ij = tr(c_i G c_j G^dag) / 8 for G = V u V^dag, V = rx(pi/2) on every qubit
+    g = RX_ALL @ u @ RX_ALL.conj().T
+    return np.array([[np.trace(ci @ g @ cj @ g.conj().T) / 8 for cj in MAJORANAS] for ci in MAJORANAS])
+
+
+def module_rotation(t, form):
+    # the two blocks of ybe's rotation, placed in a 6x6 matrix
+    entries = _rotation(t, form)
+    m = np.zeros((6, 6))
+    for k, block in enumerate(BLOCKS):
+        m[np.ix_(block, block)] = np.reshape(entries[9 * k:9 * k + 9], (3, 3))
+    return m
+
+
+def test_rotation_matches_jordan_wigner_oracle():
+    # each gate alone, in every slot of either form (so on either pair), and
+    # whole triples: the oracle's rotation is real, zero off the two blocks,
+    # and equal to the module's
+    rng = np.random.default_rng(SEED + 9)
+    gates = [tuple(rng.uniform(-np.pi, np.pi, 2)) for _ in range(20)]
+    gates += [tuple(rng.choice(SPECIAL_ANGLES, 2)) for _ in range(20)]
+    for g, d in gates:
+        for form in YbeForm:
+            for k in range(3):
+                t = tuple((float(g), float(d)) if i == k else (0.0, 0.0) for i in range(3))
+                want = jordan_wigner_rotation(kron_unitary(YbeTriple(t, form)))
+                assert np.max(np.abs(want - module_rotation(t, form))) < 1e-12
+    for _ in range(20):
+        for form in YbeForm:
+            t = random_triple(rng, form)
+            want = jordan_wigner_rotation(kron_unitary(t))
+            assert np.max(np.abs(want - module_rotation(t.pairs, form))) < 1e-12
 
 
 @given(st.one_of(TRIPLES, WIDE_TRIPLES))
@@ -324,6 +357,33 @@ def test_verify_relations_flags_wrong_answer():
     assert report.residual > 1e-3
 
 
+def test_relations_see_the_sign_the_rotation_cannot():
+    # an angle shifted by pi negates the unitary but keeps its rotation, so
+    # only the relations reject the shifted triple
+    t = YbeTriple(((0.4, 0.1), (0.3, 0.2), (0.2, 0.5)))
+    out = solve(t).triple.pairs
+    for k in range(6):
+        angles = [a for pair in out for a in pair]
+        angles[k] += math.pi
+        shifted = YbeTriple(list(zip(angles[::2], angles[1::2])), YbeForm.RIGHT)
+        assert np.max(np.abs(kron_unitary(shifted) + kron_unitary(t))) < 1e-12
+        report = verify_relations(t, shifted)
+        assert report.matrix_residual < 1e-12
+        assert report.residual > 1e-3
+
+
+@given(TRIPLES)
+def test_rotation_residual_agrees_with_dense_residual(t):
+    # near a solution the Frobenius distance of the 6x6 rotations equals the
+    # one of the 8x8 unitaries to first order in the perturbation
+    out = solve(t).triple
+    near = YbeTriple([(g + 1e-6, d + 1e-6) for g, d in out.pairs], out.form)
+    left, right = (t, near) if t.form is YbeForm.LEFT else (near, t)
+    rotation = verify_relations(left, right).matrix_residual
+    dense = np.linalg.norm(kron_unitary(t) - kron_unitary(near))
+    assert rotation == pytest.approx(dense, rel=1e-4)
+
+
 def test_triple_validation():
     with pytest.raises(TypeError):
         YbeTriple((0.1, 0.2, 0.3))
@@ -342,8 +402,8 @@ def test_triple_validation():
 
 
 def test_unsolved_error_reports_a_verified_residual():
-    # at 4e16 an angle carries no precision: candidates fit the 8x8 matrix or
-    # the sixteen relations, never both, and the error must say which failed
+    # at 4e16 an angle carries no precision: candidates fit the 6x6 rotation
+    # or the sixteen relations, never both, and the error must say which failed
     t = YbeTriple((RGateParams(0.3, 4e16), RGateParams(0.2, 0.1), RGateParams(0.5, 0.4)))
     with pytest.raises(UnsolvedError) as info:
         solve(t)
