@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -103,14 +104,17 @@ def build_trotter_circuit(n: int, j: CouplingParams, plan: TrotterPlan) -> Circu
 def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit, gates applied in order.
 
-    The 2^N matrix sees one apply per fused op of _fused_ops, not one per gate.
+    The 2^N matrix sees one apply per fused op of _fused_ops, not one per
+    gate. Each apply writes into the other of two 2^N x 2^N buffers
+    (apply_gate's out path), so a pass allocates nothing.
     """
     n = c.num_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {n}")
     u = np.eye(2 ** n, dtype=complex)
+    spare = np.empty_like(u)
     for low, m in _fused_ops(c):
-        u = _dense.apply_gate(u, m, low)
+        u, spare = _dense.apply_gate(u, m, low, out=spare), u
     return u
 
 
@@ -133,6 +137,58 @@ def _on_local(m: np.ndarray, local: int, block: np.ndarray) -> np.ndarray:
     return (m @ block.reshape(2, 2, 4)).reshape(4, 4)
 
 
+def _descriptors(c: Circuit | NativeCircuit):
+    """(lowest qubit, is two-qubit, descriptor) per gate.
+
+    The descriptor names the gate's matrix apart from its position: (kind,
+    angle) for a single-qubit gate, ("cx", control is the lower qubit) for a
+    cx, and (params, conjugation) for a pair gate. Angles compare by value
+    and -0.0 == 0.0, so a descriptor also carries each angle's sign: rz(-0.0)
+    and rz(0.0) differ in the sign of a zero entry.
+    """
+    for g in c.gates:
+        if isinstance(g, PairGate):
+            signs = tuple(math.copysign(1.0, a) for a in g.params.as_tuple())
+            yield g.pair, True, (g.params, g.conjugation, signs)
+        elif g.kind == "cx":
+            yield min(g.qubits), True, ("cx", g.qubits[0] < g.qubits[1])
+        elif g.angle is None:
+            yield g.qubits[0], False, (g.kind, None)
+        else:
+            yield g.qubits[0], False, (g.kind, g.angle, math.copysign(1.0, g.angle))
+
+
+def _matrix(d: tuple) -> np.ndarray:
+    """The 2x2 or 4x4 matrix that a descriptor of _descriptors names."""
+    head, arg = d[:2]
+    if not isinstance(head, str):
+        return PairGate(0, head, arg).unitary()
+    if head == "cx":
+        return native_gate_matrix(NativeGate("cx", (0, 1) if arg else (1, 0)))
+    return native_gate_matrix(NativeGate(head, (0,), arg))
+
+
+def _run_matrix(run: tuple) -> np.ndarray:
+    """Product of a run of single-qubit descriptors, the first applied first."""
+    u = _matrix(run[0])
+    for d in run[1:]:
+        u = _matrix(d) @ u
+    return u
+
+
+def _block_matrix(key: tuple) -> np.ndarray:
+    """The 4x4 of a block key of _fused_ops: the pending runs on both qubits,
+    then (local qubit, descriptor) per gate, local None for a two-qubit gate."""
+    block = _EYE4
+    for local in (0, 1):
+        if key[local]:
+            block = _on_local(_run_matrix(key[local]), local, block)
+    for local, d in key[2:]:
+        m = _matrix(d)
+        block = m @ block if local is None else _on_local(m, local, block)
+    return block
+
+
 def _fused_ops(c: Circuit | NativeCircuit):
     """The circuit as (lowest qubit, matrix) ops on one qubit or one adjacent pair.
 
@@ -141,30 +197,35 @@ def _fused_ops(c: Circuit | NativeCircuit):
     one that absorbs the pending 2x2s of both its qubits. Later single-qubit
     gates on a blocked qubit join the block. Pending blocks and 2x2s act on
     disjoint qubits, so they commute and the order of their emission is free.
+
+    Blocks and runs collect descriptors, not matrices. A Trotter circuit
+    repeats a few distinct blocks on every pair, so each distinct block or run
+    is multiplied once per call and reused from caches local to the call.
+    Each is multiplied in gate order, so every fused matrix is bit-identical
+    to the product taken gate by gate.
     """
-    singles: dict[int, np.ndarray] = {}
-    blocks: dict[int, np.ndarray] = {}
-    for q, m in local_ops(c):
-        if m.shape[0] == 2:
+    singles: dict[int, list] = {}
+    blocks: dict[int, list] = {}
+    block_matrix, run_matrix = functools.cache(_block_matrix), functools.cache(_run_matrix)
+    for q, two, d in _descriptors(c):
+        if not two:
             if q in blocks:
-                blocks[q] = _on_local(m, 0, blocks[q])
+                blocks[q].append((0, d))
             elif q - 1 in blocks:
-                blocks[q - 1] = _on_local(m, 1, blocks[q - 1])
+                blocks[q - 1].append((1, d))
             else:
-                singles[q] = m @ singles[q] if q in singles else m
+                singles.setdefault(q, []).append(d)
         elif q in blocks:
-            blocks[q] = m @ blocks[q]
+            blocks[q].append((None, d))
         else:
             for p in (q - 1, q + 1):
                 if p in blocks:
-                    yield p, blocks.pop(p)
-            block = _EYE4
-            for local in (0, 1):
-                if q + local in singles:
-                    block = _on_local(singles.pop(q + local), local, block)
-            blocks[q] = m @ block
-    yield from blocks.items()
-    yield from singles.items()
+                    yield p, block_matrix(tuple(blocks.pop(p)))
+            blocks[q] = [tuple(singles.pop(q, ())), tuple(singles.pop(q + 1, ())), (None, d)]
+    for p, ops in blocks.items():
+        yield p, block_matrix(tuple(ops))
+    for q, run in singles.items():
+        yield q, run_matrix(tuple(run))
 
 
 def _pair_gate_native(g: PairGate) -> GateSequence:

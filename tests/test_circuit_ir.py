@@ -14,8 +14,11 @@ from spinchain.circuit_ir import (
     QASM_HEADER,
     PairGate,
     QasmParseError,
+    _fused_ops,
+    _on_local,
     build_trotter_circuit,
     from_qasm,
+    local_ops,
     to_native,
     to_qasm,
     unitary_of,
@@ -175,6 +178,95 @@ def native_circuits(draw):
     ))
 )
 def test_unitary_of_native_matches_kron_oracle(c):
+    assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+
+
+# a template gate on a pair: (kind, local qubit, angle); for a cx the local
+# qubit is the control's
+TEMPLATE_SINGLES = st.tuples(
+    st.sampled_from(["rx", "rz", "h", "s"]), st.integers(0, 1), st.sampled_from([0.0, -0.0, 0.4, -1.3, 2.5])
+)
+TEMPLATE_CX = st.tuples(st.just("cx"), st.integers(0, 1), st.none())
+
+
+def stamp(template, pair):
+    gates = []
+    for kind, local, angle in template:
+        if kind == "cx":
+            gates.append(NativeGate("cx", (pair + local, pair + 1 - local)))
+        else:
+            gates.append(NativeGate(kind, (pair + local,), angle if kind in ("rx", "rz") else None))
+    return gates
+
+
+TEMPLATES = st.tuples(
+    st.lists(TEMPLATE_SINGLES, max_size=3), TEMPLATE_CX, st.lists(st.one_of(TEMPLATE_CX, TEMPLATE_SINGLES), max_size=6)
+).map(lambda t: [*t[0], t[1], *t[2]])
+
+
+@st.composite
+def stamped_circuits(draw):
+    # a pool of native block templates (pending singles, a cx, then cx's and
+    # singles on either qubit) stamped onto random pairs, so that identical
+    # descriptors recur on different pairs. The second and third templates
+    # flip one gate of the first onto its other qubit (a cx: its direction),
+    # so a key that cannot see that difference meets both in one circuit
+    n = draw(st.integers(2, 7))
+    base = draw(TEMPLATES)
+    pool = [base]
+    for i in draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=2)):
+        kind, local, angle = base[i]
+        pool.append(base[:i] + [(kind, 1 - local, angle)] + base[i + 1:])
+    stamps = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, n - 2)), max_size=12))
+    return NativeCircuit(n, tuple(g for template, pair in stamps for g in stamp(template, pair)))
+
+
+def fused_ops_reference(c):
+    # the fusion multiplied gate by gate as the circuit runs, no reuse
+    singles, blocks = {}, {}
+    for q, m in local_ops(c):
+        if m.shape[0] == 2:
+            if q in blocks:
+                blocks[q] = _on_local(m, 0, blocks[q])
+            elif q - 1 in blocks:
+                blocks[q - 1] = _on_local(m, 1, blocks[q - 1])
+            else:
+                singles[q] = m @ singles[q] if q in singles else m
+        elif q in blocks:
+            blocks[q] = m @ blocks[q]
+        else:
+            for p in (q - 1, q + 1):
+                if p in blocks:
+                    yield p, blocks.pop(p)
+            block = np.eye(4, dtype=complex)
+            for local in (0, 1):
+                if q + local in singles:
+                    block = _on_local(singles.pop(q + local), local, block)
+            blocks[q] = m @ block
+    yield from blocks.items()
+    yield from singles.items()
+
+
+def fused_bytes(ops):
+    return [(low, m.tobytes()) for low, m in ops]
+
+
+@given(stamped_circuits())
+@example(NativeCircuit(2, (NativeGate("rz", (0,), 0.0), NativeGate("rz", (1,), -0.0))))
+def test_unitary_of_fuses_repeated_blocks_like_the_kron_oracle(c):
+    # reusing a block changes no bit of it, not even the sign of a zero
+    assert fused_bytes(_fused_ops(c)) == fused_bytes(fused_ops_reference(c))
+    assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+
+
+def test_fusion_keeps_blocks_apart_that_differ_only_in_direction_or_qubit():
+    # three disjoint blocks; the second and third have the first one's gates
+    # but for the cx direction or the qubit of the rotation after the cx. A
+    # key that cannot see the difference hands them the first one's matrix
+    block = [("rz", 0, 0.3), ("cx", 0, None), ("rx", 1, 0.5)]
+    reversed_cx = [("rz", 0, 0.3), ("cx", 1, None), ("rx", 1, 0.5)]
+    other_qubit = [("rz", 0, 0.3), ("cx", 0, None), ("rx", 0, 0.5)]
+    c = NativeCircuit(6, tuple(stamp(block, 0) + stamp(reversed_cx, 2) + stamp(other_qubit, 4)))
     assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
 
 
