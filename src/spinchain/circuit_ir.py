@@ -12,21 +12,28 @@ import numpy as np
 from . import _dense
 from .propagators import (
     CONJUGATION_TAGS,
-    GATE_KINDS,
     SANDWICH,
     Angles3,
     GateSequence,
     NativeGate,
     RGateParams,
-    conjugated_r_matrix,
     decompose_xyz,
     native_gate_matrix,
     r_gate_sequence,
     xyz_propagator,
 )
-from .spin_model import MAX_ANGLE, CouplingParams, HamiltonianClass, TrotterPlan, classify, step_angles
+from .spin_model import FAMILY_TABLE, MAX_ANGLE, CouplingParams, HamiltonianClass, TrotterPlan
+from .spin_model import classify, step_angles
 
 MAX_DENSE_QUBITS = 12
+
+# (gamma axis, delta axis) of R(gamma, delta) under each conjugation tag: the
+# axes of the tag's two-axis family
+_TAG_AXES = {
+    f.conjugation: (f.gamma_axis, f.delta_axis)
+    for f in FAMILY_TABLE.values()
+    if f.gamma_axis and f.delta_axis
+}
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,17 @@ class PairGate:
         if isinstance(self.params, Angles3) and self.conjugation != "none":
             raise ValueError("conjugation tags apply to RGateParams gates only")
 
-    def unitary(self) -> np.ndarray:
+    def angles(self) -> Angles3:
+        """The gate's (x, y, z) angles: R(gamma, delta) under tag none, u1 or
+        u2 is (gamma, 0, delta), (0, gamma, delta) or (gamma, delta, 0)."""
         if isinstance(self.params, Angles3):
-            return xyz_propagator(self.params)
-        return conjugated_r_matrix(self.params, self.conjugation)
+            return self.params
+        by_axis = dict(zip(_TAG_AXES[self.conjugation], self.params.as_tuple()))
+        return Angles3(*(by_axis.get(axis, 0.0) for axis in "xyz"))
+
+    def unitary(self) -> np.ndarray:
+        """exp(i (tx XX + ty YY + tz ZZ)) of the gate's angles, in closed form."""
+        return xyz_propagator(self.angles())
 
 
 @dataclass(frozen=True)
@@ -248,49 +262,44 @@ def to_native(c: Circuit) -> NativeCircuit:
     return NativeCircuit(c.num_qubits, tuple(ng for g in c.gates for ng in blocks[g]))
 
 
-def _recognize_block(gates: GateSequence, pos: int, tag: str) -> tuple[PairGate, int] | None:
-    """(R gate under tag, block length) when its native block starts gates[pos:], else None.
-
-    gamma and delta are read from the rx and rz after the sandwich head and
-    the first cx (an absent one reads as 0.0); the block must equal their
-    re-emission, angles compared as parsed.
-    """
-    head = len(SANDWICH[tag][0])
-    if pos + head >= len(gates) or gates[pos + head].kind != "cx":
-        return None
-    i = pos + head + 1
-    gamma = delta = 0.0
-    if i < len(gates) and gates[i].kind == "rx":
-        gamma = -0.5 * gates[i].angle
-        i += 1
-    if i < len(gates) and gates[i].kind == "rz":
-        delta = -0.5 * gates[i].angle
-    gate = PairGate(gates[pos + head].qubits[0], RGateParams(gamma, delta), tag)
-    block = _pair_gate_native(gate)
-    return (gate, len(block)) if gates[pos : pos + len(block)] == block else None
+# the first native gate of a block under each tag: the kind of the tag's
+# sandwich head, or the core's cx for tag none, whose sandwich is empty
+_HEAD_TAG = {(before[0].kind if before else "cx"): tag for tag, (before, _) in SANDWICH.items()}
 
 
 def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
     """Group native gates back into R(gamma, delta) pair gates: the inverse of to_native.
 
-    At each position every conjugation tag's block is tried in turn; a pair
-    gate is accepted only when the emitter would write exactly these gates.
+    A block's first gate names its tag (_HEAD_TAG). gamma and delta are read
+    from the rx and rz after the tag's sandwich head and the first cx (an
+    absent one reads as 0.0), and the pair gate is accepted only when the
+    emitter would write exactly these gates, angles compared as parsed.
     """
     gates = native.gates
     out: list[PairGate] = []
     pos = 0
     while pos < len(gates):
-        for tag in CONJUGATION_TAGS:
-            match = _recognize_block(gates, pos, tag)
-            if match is not None:
-                break
-        else:
+        tag = _HEAD_TAG.get(gates[pos].kind)
+        # a first gate that heads no tag's block leaves no cx to read
+        cx = pos + len(SANDWICH[tag][0]) if tag else len(gates)
+        block = ()
+        if cx < len(gates) and gates[cx].kind == "cx":
+            i = cx + 1
+            gamma = delta = 0.0
+            if i < len(gates) and gates[i].kind == "rx":
+                gamma = -0.5 * gates[i].angle
+                i += 1
+            if i < len(gates) and gates[i].kind == "rz":
+                delta = -0.5 * gates[i].angle
+            gate = PairGate(gates[cx].qubits[0], RGateParams(gamma, delta), tag)
+            block = _pair_gate_native(gate)
+        if not block or gates[pos : pos + len(block)] != block:
             raise ValueError(
                 f"unrecognized gate structure at native gate {pos}; expected "
                 "the per-gate blocks produced by the QASM emitter"
             )
-        out.append(match[0])
-        pos += match[1]
+        out.append(gate)
+        pos += len(block)
     return Circuit(native.num_qubits, tuple(out))
 
 
@@ -400,8 +409,6 @@ def from_qasm(text: str) -> NativeCircuit:
             kind = m.group("kind")
             if kind in ("creg", "measure", "barrier", "reset", "gate", "if"):
                 raise QasmParseError(lineno, col, f"{kind!r} is outside the supported subset")
-            if kind not in GATE_KINDS:
-                raise QasmParseError(lineno, col, f"unknown gate {kind!r}")
             if num_qubits is None:
                 raise QasmParseError(lineno, col, "gate before qreg declaration")
             qubits = []

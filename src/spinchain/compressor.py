@@ -26,7 +26,7 @@ from itertools import islice
 
 from .circuit_ir import Circuit, PairGate
 from .propagators import Angles3, RGateParams
-from .spin_model import FAMILY_TABLE, ZERO_TOL, CouplingParams, HamiltonianClass, classify
+from .spin_model import ZERO_TOL, CouplingParams, HamiltonianClass, classify
 from .spin_model import UnsupportedClassError  # noqa: F401  (compress raises it)
 from .ybe import YbeTriple, solve, wrap_angle
 
@@ -265,27 +265,9 @@ def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
     return slots if sigma == sorted(sigma) else None
 
 
-# (gamma axis, delta axis) of R(gamma, delta) under each conjugation tag: the
-# axes of the tag's two-axis family
-_TAG_AXES = {
-    f.conjugation: (f.gamma_axis, f.delta_axis)
-    for f in FAMILY_TABLE.values()
-    if f.gamma_axis and f.delta_axis
-}
-
-
-def _angles(g: PairGate) -> Angles3:
-    """The gate's (x, y, z) angles: R(gamma, delta) under tag none, u1 or u2 is
-    (gamma, 0, delta), (0, gamma, delta) or (gamma, delta, 0)."""
-    if isinstance(g.params, Angles3):
-        return g.params
-    by_axis = dict(zip(_TAG_AXES[g.conjugation], g.params.as_tuple()))
-    return Angles3(*(by_axis.get(axis, 0.0) for axis in "xyz"))
-
-
 def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
     """(gamma, delta) of a gate of the block's class."""
-    a = _angles(g)
+    a = g.angles()
     axes = [axis for axis, t in zip("xyz", a.as_tuple()) if abs(t) > ZERO_TOL]
     if not set(axes) <= set(klass.axes):
         raise ValueError(f"gate with axes {axes} does not fit class {klass.name}")
@@ -319,7 +301,7 @@ def absorb_steps(
 def detect_class(c: Circuit) -> HamiltonianClass:
     """The class of the per-axis peak angles over every gate; a circuit with
     no gates has all peaks zero, class X."""
-    angles = (_angles(g).as_tuple() for g in c.gates)
+    angles = (g.angles().as_tuple() for g in c.gates)
     peaks = (max(map(abs, axis)) for axis in zip((0.0, 0.0, 0.0), *angles))
     return classify(CouplingParams(*peaks))
 

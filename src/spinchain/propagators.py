@@ -21,8 +21,9 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 GATE_KINDS = ("rx", "rz", "h", "s", "cx")
 
 # conjugation tag -> rotation kind of its conjugator U = rot(pi/2) x rot(pi/2)
-# ("none": U is the identity); CONJUGATION_TAGS, SANDWICH and the conjugator
-# matrices all derive from this table
+# ("none": U is the identity); CONJUGATION_TAGS and SANDWICH derive from this
+# table. A tagged gate's matrix is the closed form of the axes its tag feeds
+# (circuit_ir.PairGate.angles), which equals U R U^dag exactly.
 _CONJUGATOR_KIND = {"none": None, "u1": "rz", "u2": "rx"}
 CONJUGATION_TAGS = tuple(_CONJUGATOR_KIND)
 
@@ -59,7 +60,7 @@ class NativeGate:
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate {self.kind!r}")
         if self.kind == "cx":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError(f"cx needs two distinct qubits, got {self.qubits!r}")
@@ -140,22 +141,6 @@ def xyz_propagator(a: Angles3) -> np.ndarray:
 def r_matrix(p: RGateParams) -> np.ndarray:
     """The two-parameter propagator R(gamma, delta) = exp(i(gamma XX + delta ZZ))."""
     return xyz_propagator(Angles3(p.gamma, 0.0, p.delta))
-
-
-def _conjugator(kind: str | None) -> np.ndarray:
-    if kind is None:
-        return np.eye(4, dtype=complex)
-    m = rx_matrix(math.pi / 2) if kind == "rx" else rz_matrix(math.pi / 2)
-    return np.kron(m, m)
-
-
-_CONJ_MATRIX = {tag: _conjugator(kind) for tag, kind in _CONJUGATOR_KIND.items()}
-
-
-def conjugated_r_matrix(p: RGateParams, tag: str) -> np.ndarray:
-    """U R(gamma, delta) U^dag for the class conjugator U named by tag."""
-    u = _CONJ_MATRIX[tag]
-    return u @ r_matrix(p) @ u.conj().T
 
 
 def decompose_xyz(a: Angles3) -> GateSequence:

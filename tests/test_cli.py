@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchain import cli, compressor
+from spinchain import circuit_ir, cli, compressor
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, from_qasm, to_native, to_qasm, unitary_of
 from spinchain.cli import MAX_PAIR_GATES, MAX_SHOT_PAIR_GATES, ConfigError, JobConfig, load_config, main, recognize_pair_circuit
-from spinchain.propagators import NativeGate, RGateParams
+from spinchain.propagators import CONJUGATION_TAGS, NativeGate, RGateParams
 from spinchain.spin_model import MAX_ANGLE, Angles3, CouplingParams, TrotterPlan
 
 BASE_CONFIG = {
@@ -657,6 +657,21 @@ def test_recognize_pair_circuit_matches_source():
     for gates in (nudged, swapped):
         with pytest.raises(ValueError, match="unrecognized gate structure at native gate 0;"):
             recognize_pair_circuit(NativeCircuit(2, gates))
+    # a block's first gate names its tag, so no two tags may share a head kind
+    assert sorted(circuit_ir._HEAD_TAG.values()) == sorted(CONJUGATION_TAGS)
+    # blocks of all three tags interleaved on different pairs come back gate for gate
+    mixed = Circuit(4, tuple(
+        PairGate(p, RGateParams(0.1 * (k + 1), 0.07 * k - 0.2), tag)
+        for k, (p, tag) in enumerate(((0, "u2"), (2, "none"), (1, "u1"), (0, "none"), (2, "u1"), (1, "u2"), (2, "u2")))
+    ))
+    assert recognize_pair_circuit(to_native(mixed)).gates == mixed.gates
+    # a u2 head before a u1 block's body, after one good block, is rejected at
+    # the index of the bad block
+    good = to_native(Circuit(3, (PairGate(1, RGateParams(0.3, -0.2)),))).gates
+    u1 = to_native(Circuit(3, (PairGate(1, RGateParams(0.3, -0.2), "u1"),))).gates
+    u2 = to_native(Circuit(3, (PairGate(1, RGateParams(0.3, -0.2), "u2"),))).gates
+    with pytest.raises(ValueError, match=f"unrecognized gate structure at native gate {len(good)};"):
+        recognize_pair_circuit(NativeCircuit(3, (*good, *u2[:2], *u1[2:])))
 
 
 def test_compress_rejects_a_qreg_longer_than_any_job(tmp_path, capsys):

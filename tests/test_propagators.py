@@ -15,8 +15,8 @@ from spinchain.propagators import (
     H_MATRIX,
     S_MATRIX,
     NativeGate,
+    CONJUGATION_TAGS,
     RGateParams,
-    conjugated_r_matrix,
     decompose_xyz,
     native_gate_matrix,
     r_gate_sequence,
@@ -62,6 +62,17 @@ def xyz_oracle(a):
 
 def random_angles(rng):
     return Angles3(*rng.uniform(-np.pi, np.pi, 3))
+
+
+def conjugated_oracle(p, tag):
+    """U R(gamma, delta) U^dag by its definition: U = rz(pi/2) x rz(pi/2) for
+    u1, rx(pi/2) x rx(pi/2) for u2, the identity for none."""
+    r = pair_exp_oracle("x", p.gamma) @ pair_exp_oracle("z", p.delta)
+    if tag == "none":
+        return r
+    half = (rz_matrix if tag == "u1" else rx_matrix)(np.pi / 2)
+    u = np.kron(half, half)
+    return u @ r @ u.conj().T
 
 
 def test_single_qubit_gate_matrices():
@@ -161,7 +172,23 @@ def test_from_angles3_covers_two_axis_families():
             a = make(rng)
             family = classify(CouplingParams(*a.as_tuple())).family
             params = RGateParams(*family.r_params(a))
-            assert phase_distance(conjugated_r_matrix(params, family.conjugation), xyz_oracle(a)) < PHASE_TOL
+            assert phase_distance(conjugated_oracle(params, family.conjugation), xyz_oracle(a)) < PHASE_TOL
+
+
+def test_tagged_pair_gate_matrix_is_the_conjugated_r():
+    # the closed form of the tag's axes equals U R U^dag entrywise, global
+    # phase included, at random angles and at signed zeros, quarter and half
+    # turns and a tiny angle
+    rng = np.random.default_rng(SEED + 8)
+    edges = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-13)
+    pairs = [(g, d) for g in edges for d in edges]
+    pairs += [tuple(rng.uniform(-np.pi, np.pi, 2)) for _ in range(TRIALS)]
+    pairs += [(rng.uniform(-np.pi, np.pi), e) for e in edges] + [(e, rng.uniform(-np.pi, np.pi)) for e in edges]
+    for tag in CONJUGATION_TAGS:
+        for gamma, delta in pairs:
+            p = RGateParams(gamma, delta)
+            u = PairGate(0, p, tag).unitary()
+            assert np.max(np.abs(u - conjugated_oracle(p, tag))) < 1e-14, (tag, gamma, delta)
 
 
 def test_from_angles3_rejects_three_axis_input():
@@ -202,7 +229,7 @@ def test_special_case_sequences_match_conjugated_r():
             p = RGateParams(gamma, delta)
             seq = r_gate_sequence(p, tag)
             assert sum(1 for g in seq if g.kind == "cx") <= 2
-            assert phase_distance(sequence_unitary(seq), conjugated_r_matrix(p, tag)) < PHASE_TOL
+            assert phase_distance(sequence_unitary(seq), conjugated_oracle(p, tag)) < PHASE_TOL
 
 
 def test_special_case_sequence_rejects_three_axis_class():
