@@ -350,7 +350,7 @@ def _parse_angle(text: str, line: int, col: int) -> float:
         value = float(t)
     else:
         raise QasmParseError(line, col, f"bad angle expression {text.strip()!r}")
-    if value > MAX_ANGLE:
+    if abs(value) > MAX_ANGLE:  # _FLOAT admits a second sign after the stripped one
         raise QasmParseError(
             line, col,
             f"angle {text.strip()} is beyond ±{MAX_ANGLE:g} rad, where it keeps too little precision",

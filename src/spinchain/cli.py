@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -254,7 +255,9 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use and kept: each main call would otherwise rebuild it
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Spin-chain dynamics: Trotter circuits, fixed-depth "
@@ -278,8 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     p_ve.add_argument("circuit_a")
     p_ve.add_argument("circuit_b")
     p_ve.add_argument("--tol", type=float, default=1e-7, help="pass threshold (default 1e-7)")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "evolve":
             return _cmd_evolve(args)

@@ -28,7 +28,7 @@ from .circuit_ir import Circuit, PairGate
 from .propagators import Angles3, RGateParams
 from .spin_model import ZERO_TOL, CouplingParams, HamiltonianClass, classify
 from .spin_model import UnsupportedClassError  # noqa: F401  (compress raises it)
-from .ybe import YbeTriple, solve, wrap_angle
+from .ybe import solve, wrap_angle
 
 RESIDUAL_BUDGET = 1e-6
 
@@ -148,16 +148,16 @@ class _WordEngine:
 
     def _turn(self, f: list, h: list, g: list) -> tuple[list, list, list]:
         # time-ordered letters f@j, h@i, g@j with |i-j| = 1 become a@i, b@j,
-        # c@i; the mirrored output triple solves both layout orientations, so
-        # one solver direction covers j < i and j > i alike
-        sol = solve(YbeTriple(((g[1], g[2]), (h[1], h[2]), (f[1], f[2]))))
+        # c@i; solve reads its pairs in operator order (g first) and its one
+        # direction covers j < i and j > i alike, by the site mirror
+        sol = solve(((g[1], g[2]), (h[1], h[2]), (f[1], f[2])))
         self.residual += sol.residual
         self.moves += 1
         if self.residual > RESIDUAL_BUDGET:
             raise ResidualBudgetError(
                 f"accumulated residual {self.residual:.3e} exceeds {RESIDUAL_BUDGET:g}"
             )
-        r = sol.triple.pairs
+        r = sol.pairs
         return [h[0], *r[2]], [f[0], *r[1]], [h[0], *r[0]]
 
     def _braid(self, q: int) -> None:

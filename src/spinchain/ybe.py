@@ -9,14 +9,16 @@ least-squares search when that candidate fails verification, and verifies
 every candidate twice: by the relations, which fix the triple's unitary,
 and by its 6x6 Majorana rotation, which fixes the unitary up to sign. Both
 checks are scalar arithmetic; the 8x8 unitary is built only for the
-fallback's fit.
+fallback's fit. A triple is three plain (gamma, delta) pairs: solve reads
+its argument in the left layout and returns the right-layout mirror, and
+verify_relations takes the left triple first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,66 +33,24 @@ _FALLBACK_STARTS = 8
 _WRAP_SNAP_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
+# A bridge triple: three (gamma, delta) pairs in operator order. In the left
+# layout, (R1 x 1)(1 x R2)(R3 x 1), the outer gates sit on the lower pair
+# and R3 acts first in time; the right layout, (1 x R4)(R5 x 1)(1 x R6), is
+# its mirror image.
 AnglePair = tuple[float, float]
 AngleTriple = tuple[AnglePair, AnglePair, AnglePair]
 
 
-class YbeForm(Enum):
-    """Layout of a three-site gate triple.
+class YbeSolution(NamedTuple):
+    """Mirrored triple, its verified residual and the path that found it.
 
-    LEFT places the outer gates on the lower pair: (R1 x 1)(1 x R2)(R3 x 1)
-    as an operator product, R3 first in time. RIGHT is the mirror image:
-    (1 x R4)(R5 x 1)(1 x R6).
-    """
-
-    LEFT = "left"
-    RIGHT = "right"
-
-    @property
-    def opposite(self) -> "YbeForm":
-        return YbeForm.RIGHT if self is YbeForm.LEFT else YbeForm.LEFT
-
-
-@dataclass(frozen=True)
-class YbeTriple:
-    """Three R gates in bridge layout, listed in operator order.
-
-    Given as three RGateParams or (gamma, delta) pairs, held as finite float
-    pairs, the form the solver reads; gates gives them back as RGateParams.
+    pairs is the right-layout mirror of a left-layout input, in operator
+    order; method is "analytic" or "numeric-fallback".
     """
 
     pairs: AngleTriple
-    form: YbeForm = YbeForm.LEFT
-
-    def __post_init__(self) -> None:
-        pairs = tuple(
-            (float(g), float(d))
-            for g, d in (p.as_tuple() if isinstance(p, RGateParams) else p for p in self.pairs)
-        )
-        if len(pairs) != 3:
-            raise ValueError(f"need exactly 3 gates, got {len(pairs)}")
-        if not all(math.isfinite(g) and math.isfinite(d) for g, d in pairs):
-            raise ValueError(f"R params must be finite, got {pairs!r}")
-        if not isinstance(self.form, YbeForm):
-            raise TypeError(f"form must be a YbeForm, got {self.form!r}")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def gates(self) -> tuple[RGateParams, RGateParams, RGateParams]:
-        return tuple(RGateParams(g, d) for g, d in self.pairs)
-
-
-@dataclass(frozen=True)
-class YbeSolution:
-    """Mirrored triple with the verified residual and the path that found it."""
-
-    triple: YbeTriple
     residual: float
     method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in ("analytic", "numeric-fallback"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -140,11 +100,11 @@ def wrap_angle(x: float) -> float:
     return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
 
 
-def triple_unitary(t: AngleTriple, form: YbeForm) -> np.ndarray:
-    """Dense 8x8 operator of a bridge-layout triple."""
+def triple_unitary(t: AngleTriple, right: bool = False) -> np.ndarray:
+    """Dense 8x8 operator of a triple in the left (or, if right, the right) layout."""
     eye = np.eye(2)
     m1, m2, m3 = (
-        np.kron(r, eye) if (form is YbeForm.LEFT) == (k % 2 == 0) else np.kron(eye, r)
+        np.kron(r, eye) if right == (k % 2 == 1) else np.kron(eye, r)
         for k, r in enumerate(r_matrix(RGateParams(g, d)) for g, d in t)
     )
     return m1 @ m2 @ m3
@@ -153,7 +113,7 @@ def triple_unitary(t: AngleTriple, form: YbeForm) -> np.ndarray:
 def relations(left, right) -> list[float]:
     """The sixteen product relations; all vanish iff the matrix identity holds.
 
-    left is a LEFT-layout and right a RIGHT-layout triple of (gamma, delta)
+    left is a left-layout and right a right-layout triple of (gamma, delta)
     pairs. Each row is a product of four sines and cosines of the left
     triple minus one of the right; for left ((g1, d1), (g2, d2), (g3, d3))
     the factors are of g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3 and d2, and
@@ -208,29 +168,22 @@ def _euler(a: float, b: float, c: float) -> tuple[float, ...]:
     )
 
 
-def _rotation(t: AngleTriple, form: YbeForm) -> tuple[float, ...]:
+def _rotation(t: AngleTriple, right: bool = False) -> tuple[float, ...]:
     """The triple's rotation as its two 3x3 blocks, row-major, (0, 3, 4) first."""
     (g1, d1), (g2, d2), (g3, d3) = t
-    if form is YbeForm.LEFT:
+    if not right:
         return _euler(2 * d1, -2 * g2, 2 * d3) + _euler(-2 * g1, 2 * d2, -2 * g3)
     # T12(a) T01(b) T12(c) is T01(-a) T12(-b) T01(-c) with a block's three
     # indices reversed, which reverses its row-major entries
     return _euler(2 * g1, -2 * d2, 2 * g3)[::-1] + _euler(-2 * d1, 2 * g2, -2 * d3)[::-1]
 
 
-def _report(t: AngleTriple, out: AngleTriple) -> RelationReport:
-    rel = max(map(abs, relations(t, out)))
-    diff = [x - y for x, y in zip(_rotation(t, YbeForm.LEFT), _rotation(out, YbeForm.RIGHT))]
+def verify_relations(left: AngleTriple, right: AngleTriple) -> RelationReport:
+    """Evaluate the sixteen relations and the 6x6 rotation residual of a
+    left-layout triple against a right-layout one."""
+    rel = max(map(abs, relations(left, right)))
+    diff = [x - y for x, y in zip(_rotation(left), _rotation(right, right=True))]
     return RelationReport(rel, math.sqrt(math.fsum(d * d for d in diff)))
-
-
-def verify_relations(left, right) -> RelationReport:
-    """Evaluate the sixteen relations and the 6x6 rotation residual for a LEFT/RIGHT pair."""
-    if left.form is not YbeForm.LEFT or right.form is not YbeForm.RIGHT:
-        raise ValueError(
-            f"need a left- then a right-form triple, got {left.form.value}, {right.form.value}"
-        )
-    return _report(left.pairs, right.pairs)
 
 
 def _aggregates(t: AngleTriple) -> tuple[float, float, float, float, float, float]:
@@ -267,7 +220,7 @@ def _analytic_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
         (wrap_angle(g5), wrap_angle(d5)),
         (wrap_angle((p - m) / 2), wrap_angle((q - n) / 2)),
     )
-    return out, _report(t, out)
+    return out, verify_relations(t, out)
 
 
 def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
@@ -278,22 +231,25 @@ def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
     return None
 
 
-def _solution(out: AngleTriple, form: YbeForm, residual: float, method: str) -> YbeSolution:
-    return YbeSolution(YbeTriple(out, form), residual, method)
-
-
 def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
     return UnsolvedError(min(reports, key=lambda r: r.residual))
 
 
-def _numeric_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
+def numeric_fallback(t: AngleTriple) -> YbeSolution:
+    """Multistart least-squares solve against the dense matrix identity.
+
+    Deterministic: the start list is all-zeros plus seven points from a
+    fixed-seed generator. Accepts a start when the squared Frobenius
+    misfit drops below FALLBACK_COST_TOL and the verified residual below
+    SOLVER_TOL; raises UnsolvedError with the best start's report otherwise.
+    """
     # imported here so that a run which never needs the fallback never loads scipy
     from scipy.optimize import least_squares
 
-    target = triple_unitary(t, YbeForm.LEFT)
+    target = triple_unitary(t)
 
     def resid(x: np.ndarray) -> np.ndarray:
-        u = triple_unitary(((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), YbeForm.RIGHT)
+        u = triple_unitary(((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), right=True)
         d = (u - target).ravel()
         return np.concatenate([d.real, d.imag])
 
@@ -306,50 +262,36 @@ def _numeric_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
         sol = least_squares(resid, s0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         x = [wrap_angle(a) for a in sol.x]
         out = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
-        report = _report(t, out)
+        report = verify_relations(t, out)
         if 2.0 * sol.cost < FALLBACK_COST_TOL and report.residual < SOLVER_TOL:
-            return out, report
+            return YbeSolution(out, report.residual, "numeric-fallback")
         reports.append(report)
     raise _unsolved(reports)
 
 
-def numeric_fallback(t: YbeTriple) -> YbeSolution:
-    """Multistart least-squares solve against the dense matrix identity.
-
-    Deterministic: the start list is all-zeros plus seven points from a
-    fixed-seed generator. Accepts a start when the squared Frobenius
-    misfit drops below FALLBACK_COST_TOL and the verified residual below
-    SOLVER_TOL.
-    """
-    out, report = _numeric_solve(t.pairs)
-    return _solution(out, t.form.opposite, report.residual, "numeric-fallback")
-
-
-def solve(t: YbeTriple) -> YbeSolution:
-    """Rewrite a bridge triple into the mirrored form with the same unitary.
+def solve(t: AngleTriple) -> YbeSolution:
+    """Rewrite a left-layout bridge triple into the right layout with the same unitary.
 
     The closed-form path is tried first and accepted when the verified
     residual (rotation and all sixteen relations) is below SOLVER_TOL; the
     numeric fallback covers anything it misses. Raises UnsolvedError with
-    the best verified candidate when both fail. Both layouts are solved by
-    the same left-layout formulas: R(gamma, delta) is symmetric under the
-    swap of its two qubits, so the site mirror turns LEFT(a) = RIGHT(b)
-    into RIGHT(a) = LEFT(b).
+    the best verified candidate when both fail. The same call solves right
+    to left: R(gamma, delta) is symmetric under the swap of its two qubits,
+    so the site mirror turns LEFT(a) = RIGHT(b) into RIGHT(a) = LEFT(b), and
+    a right-layout triple's pairs solve to its left-layout mirror.
     """
-    angles, out_form = t.pairs, t.form.opposite
     reports = []
-    fast = _merge_degenerate(angles)
+    fast = _merge_degenerate(t)
     if fast is not None:
-        report = _report(angles, fast)
+        report = verify_relations(t, fast)
         if report.residual < SOLVER_TOL:
-            return _solution(fast, out_form, report.residual, "analytic")
+            return YbeSolution(fast, report.residual, "analytic")
         reports.append(report)
-    out, report = _analytic_solve(angles)
+    out, report = _analytic_solve(t)
     if report.residual < SOLVER_TOL:
-        return _solution(out, out_form, report.residual, "analytic")
+        return YbeSolution(out, report.residual, "analytic")
     reports.append(report)
     try:
-        out, report = _numeric_solve(angles)
+        return numeric_fallback(t)
     except UnsolvedError as exc:
         raise _unsolved(reports + [exc.report]) from None
-    return _solution(out, out_form, report.residual, "numeric-fallback")

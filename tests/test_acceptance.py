@@ -29,7 +29,7 @@ from spinchain.simulator import (
     staggered_magnetization,
 )
 from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan, classify
-from spinchain.ybe import YbeForm, YbeTriple, numeric_fallback, solve, verify_relations
+from spinchain.ybe import numeric_fallback, solve, verify_relations
 
 SEED = 20250301
 
@@ -61,12 +61,12 @@ def axis_exponential(axis, theta):
     return np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * PAIR[axis]
 
 
-def triple_kron_unitary(triple):
+def triple_kron_unitary(triple, right=False):
     eye = np.eye(2, dtype=complex)
     mats = []
-    for k, g in enumerate(triple.gates):
-        low = (triple.form is YbeForm.LEFT) == (k % 2 == 0)
-        r = r_matrix(g)
+    for k, (g, d) in enumerate(triple):
+        low = (not right) == (k % 2 == 0)
+        r = r_matrix(RGateParams(g, d))
         mats.append(np.kron(r, eye) if low else np.kron(eye, r))
     return mats[0] @ mats[1] @ mats[2]
 
@@ -106,15 +106,15 @@ def test_criterion_2_bridge_solver():
     worst_residual = 0.0
     worst_round_trip = 0.0
     for _ in range(1000):
-        t = YbeTriple(tuple(RGateParams(*rng.uniform(-np.pi, np.pi, 2)) for _ in range(3)))
+        t = tuple(tuple(rng.uniform(-np.pi, np.pi, 2).tolist()) for _ in range(3))
         sol = solve(t)
-        matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.triple)))
-        relations = verify_relations(t, sol.triple).max_relation
+        matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.pairs, right=True)))
+        relations = verify_relations(t, sol.pairs).max_relation
         worst_residual = max(worst_residual, matrix, relations)
-        back = solve(sol.triple)
+        back = solve(sol.pairs)
         worst_round_trip = max(
             worst_round_trip,
-            np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(back.triple))),
+            np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(back.pairs))),
         )
     # deliberately singular inputs: aggregate denominators vanish
     singular_shapes = [
@@ -127,10 +127,9 @@ def test_criterion_2_bridge_solver():
     worst_fallback = 0.0
     for k in range(100):
         shape = singular_shapes[k % len(singular_shapes)]
-        angles = shape(rng)
-        t = YbeTriple(tuple(RGateParams(g, d) for g, d in angles))
+        t = shape(rng)
         sol = numeric_fallback(t)
-        matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.triple)))
+        matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.pairs, right=True)))
         worst_fallback = max(worst_fallback, matrix, sol.residual)
     elapsed = time.perf_counter() - start
     ok = (

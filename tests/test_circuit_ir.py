@@ -387,7 +387,7 @@ def test_from_qasm_bounds_angles():
     for text in (repr(MAX_ANGLE), f"-{MAX_ANGLE!r}"):
         assert abs(from_qasm(base + f"rx({text}) q[0];\n").gates[-1].angle) == MAX_ANGLE
     above = math.nextafter(MAX_ANGLE, math.inf)
-    for text in (repr(above), f"-{above!r}", "1e300"):
+    for text in (repr(above), f"-{above!r}", f"--{above!r}", "1e300"):
         with pytest.raises(QasmParseError) as err:
             from_qasm(base + f"h q[0]; rz({text}) q[1];\n")
         assert (err.value.line, err.value.column) == (5, 9)

@@ -1,6 +1,7 @@
 """Command-line workflows: evolve, compress, verify, and diagnostics."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -473,6 +474,30 @@ def test_compress_from_config_stats(tmp_path, capsys):
     assert stats["gates_after"] <= 3
     assert stats["residual"] < 1e-9
     assert qasm_out.exists()
+
+
+def test_traced_compress_records_one_analytic_solve_span_per_move(tmp_path, capsys):
+    # the benchmark's tracer reads each ybe.solve result as (method, residual),
+    # and its traced compress run checks the span count against ybe_moves
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = write_config(tmp_path, spins=5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["compress", "--config", str(cfg), "--qasm-out", str(tmp_path / "c.qasm")]) == 0
+    finally:
+        tracer.uninstall()
+    stats = json.loads(capsys.readouterr().out)
+    solves = [s for s in tracer.spans if s.name == "ybe.solve"]
+    assert stats["ybe_moves"] > 0
+    assert len(solves) == stats["ybe_moves"]
+    for span in solves:
+        method, residual = span.detail
+        assert method == "analytic"
+        assert residual < 1e-12
 
 
 def test_compress_from_qasm_round_trip(tmp_path, capsys):

@@ -18,9 +18,7 @@ from spinchain.ybe import (
     _rotation,
     RelationReport,
     UnsolvedError,
-    YbeForm,
     YbeSolution,
-    YbeTriple,
     numeric_fallback,
     relations,
     solve,
@@ -35,20 +33,20 @@ ROUND_TRIP_TOL = 1e-8
 SEED = 777
 
 
-def kron_unitary(triple):
-    # operator-order product, gates[0] leftmost
+def kron_unitary(triple, right=False):
+    # operator-order product, triple[0] leftmost; the left layout puts the
+    # outer gates on the low pair, the right layout the middle one
     eye = np.eye(2, dtype=complex)
     mats = []
-    for k, g in enumerate(triple.gates):
-        low = (triple.form is YbeForm.LEFT) == (k % 2 == 0)
-        r = r_matrix(g)
+    for k, (g, d) in enumerate(triple):
+        low = (not right) == (k % 2 == 0)
+        r = r_matrix(RGateParams(g, d))
         mats.append(np.kron(r, eye) if low else np.kron(eye, r))
     return mats[0] @ mats[1] @ mats[2]
 
 
-def random_triple(rng, form=YbeForm.LEFT):
-    gates = tuple(RGateParams(*rng.uniform(-np.pi, np.pi, 2)) for _ in range(3))
-    return YbeTriple(gates, form)
+def random_triple(rng):
+    return tuple(tuple(rng.uniform(-np.pi, np.pi, 2).tolist()) for _ in range(3))
 
 
 def test_wrap_angle_range_and_branch():
@@ -120,14 +118,9 @@ def test_relations_match_written_out_rows_exactly():
 def test_triple_unitary_matches_kron_oracle():
     rng = np.random.default_rng(SEED)
     for _ in range(100):
-        for form in (YbeForm.LEFT, YbeForm.RIGHT):
-            t = random_triple(rng, form)
-            assert np.max(np.abs(triple_unitary(t.pairs, t.form) - kron_unitary(t))) < 1e-12
-
-
-def test_form_opposite():
-    assert YbeForm.LEFT.opposite is YbeForm.RIGHT
-    assert YbeForm.RIGHT.opposite is YbeForm.LEFT
+        for right in (False, True):
+            t = random_triple(rng)
+            assert np.max(np.abs(triple_unitary(t, right) - kron_unitary(t, right))) < 1e-12
 
 
 def test_solve_random_triples():
@@ -136,21 +129,36 @@ def test_solve_random_triples():
         t = random_triple(rng)
         sol = solve(t)
         assert isinstance(sol, YbeSolution)
-        assert sol.triple.form is YbeForm.RIGHT
         assert sol.residual < RESIDUAL_TOL
         # dense check independent of the solver's own bookkeeping
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.triple))) < RESIDUAL_TOL
-        report = verify_relations(t, sol.triple)
+        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.pairs, right=True))) < RESIDUAL_TOL
+        report = verify_relations(t, sol.pairs)
         assert report.max_relation < RESIDUAL_TOL
 
 
+# criterion 2's singular shapes, where the numeric fallback is the path
+SINGULAR_SHAPES = [
+    lambda r: ((r.uniform(-1, 1), 0.1), (np.pi / 2, r.uniform(-1, 1)), (0.2, 0.5)),
+    lambda r: ((0.4, r.uniform(-1, 1)), (r.uniform(-1, 1), np.pi / 2), (0.2, 0.5)),
+    lambda r: ((np.pi / 2, 0.1), (r.uniform(-1, 1), 0.2), (np.pi / 2, 0.5)),
+    lambda r: ((0.0, r.uniform(-1, 1)), (0.3, 0.2), (0.0, 0.5)),
+    lambda r: ((0.4, np.pi / 2), (0.3, r.uniform(-1, 1)), (0.2, np.pi / 2)),
+]
+
+
 def test_solve_right_to_left():
+    # a right-layout triple is the site mirror of the left one with the same
+    # pairs, so the same call gives its left-layout mirror, by either path
     rng = np.random.default_rng(SEED + 2)
     for _ in range(100):
-        t = random_triple(rng, YbeForm.RIGHT)
+        t = random_triple(rng)
         sol = solve(t)
-        assert sol.triple.form is YbeForm.LEFT
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.triple))) < RESIDUAL_TOL
+        assert np.max(np.abs(kron_unitary(t, right=True) - kron_unitary(sol.pairs))) < RESIDUAL_TOL
+    for k in range(20):
+        t = SINGULAR_SHAPES[k % 5](rng)
+        sol = numeric_fallback(t)
+        assert sol.method == "numeric-fallback"
+        assert np.max(np.abs(kron_unitary(t, right=True) - kron_unitary(sol.pairs))) < RESIDUAL_TOL
 
 
 def test_solve_round_trip_preserves_unitary():
@@ -158,9 +166,8 @@ def test_solve_round_trip_preserves_unitary():
     for _ in range(100):
         t = random_triple(rng)
         there = solve(t)
-        back = solve(there.triple)
-        assert back.triple.form is YbeForm.LEFT
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(back.triple))) < ROUND_TRIP_TOL
+        back = solve(there.pairs)
+        assert np.max(np.abs(kron_unitary(t) - kron_unitary(back.pairs))) < ROUND_TRIP_TOL
 
 
 SPECIAL_ANGLES = (
@@ -168,17 +175,13 @@ SPECIAL_ANGLES = (
     1e-13, -1e-13, 1e-9, 3.0,
 )
 ANGLES = st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-math.pi, math.pi))
-TRIPLES = st.builds(
-    YbeTriple, st.lists(st.tuples(ANGLES, ANGLES), min_size=3, max_size=3), st.sampled_from(YbeForm)
-)
+PAIRS = st.tuples(ANGLES, ANGLES)
+TRIPLES = st.tuples(PAIRS, PAIRS, PAIRS)
 
 
 WIDE_ANGLES = st.floats(-1e3, 1e3)
-WIDE_TRIPLES = st.builds(
-    YbeTriple,
-    st.lists(st.tuples(WIDE_ANGLES, WIDE_ANGLES), min_size=3, max_size=3),
-    st.sampled_from(YbeForm),
-)
+WIDE_PAIRS = st.tuples(WIDE_ANGLES, WIDE_ANGLES)
+WIDE_TRIPLES = st.tuples(WIDE_PAIRS, WIDE_PAIRS, WIDE_PAIRS)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -206,9 +209,9 @@ def jordan_wigner_rotation(u):
     return np.array([[np.trace(ci @ g @ cj @ g.conj().T) / 8 for cj in MAJORANAS] for ci in MAJORANAS])
 
 
-def module_rotation(t, form):
+def module_rotation(t, right):
     # the two blocks of ybe's rotation, placed in a 6x6 matrix
-    entries = _rotation(t, form)
+    entries = _rotation(t, right)
     m = np.zeros((6, 6))
     for k, block in enumerate(BLOCKS):
         m[np.ix_(block, block)] = np.reshape(entries[9 * k:9 * k + 9], (3, 3))
@@ -216,23 +219,23 @@ def module_rotation(t, form):
 
 
 def test_rotation_matches_jordan_wigner_oracle():
-    # each gate alone, in every slot of either form (so on either pair), and
+    # each gate alone, in every slot of either layout (so on either pair), and
     # whole triples: the oracle's rotation is real, zero off the two blocks,
     # and equal to the module's
     rng = np.random.default_rng(SEED + 9)
     gates = [tuple(rng.uniform(-np.pi, np.pi, 2)) for _ in range(20)]
     gates += [tuple(rng.choice(SPECIAL_ANGLES, 2)) for _ in range(20)]
     for g, d in gates:
-        for form in YbeForm:
+        for right in (False, True):
             for k in range(3):
                 t = tuple((float(g), float(d)) if i == k else (0.0, 0.0) for i in range(3))
-                want = jordan_wigner_rotation(kron_unitary(YbeTriple(t, form)))
-                assert np.max(np.abs(want - module_rotation(t, form))) < 1e-12
+                want = jordan_wigner_rotation(kron_unitary(t, right))
+                assert np.max(np.abs(want - module_rotation(t, right))) < 1e-12
     for _ in range(20):
-        for form in YbeForm:
-            t = random_triple(rng, form)
-            want = jordan_wigner_rotation(kron_unitary(t))
-            assert np.max(np.abs(want - module_rotation(t.pairs, form))) < 1e-12
+        for right in (False, True):
+            t = random_triple(rng)
+            want = jordan_wigner_rotation(kron_unitary(t, right))
+            assert np.max(np.abs(want - module_rotation(t, right))) < 1e-12
 
 
 @given(st.one_of(TRIPLES, WIDE_TRIPLES))
@@ -244,62 +247,21 @@ def test_closed_form_verifies_without_the_fallback(t):
     assert sol.residual < SOLVER_TOL
 
 
-@given(TRIPLES)
-def test_solve_round_trip_property(t):
-    # there and back gives a triple of the starting form with the same
-    # unitary, or a solve says it cannot
+@given(TRIPLES, st.booleans())
+def test_solve_round_trip_property(t, right):
+    # there and back gives a triple with the same unitary in the starting
+    # layout, read either way, or a solve says it cannot
     try:
-        back = solve(solve(t).triple)
+        back = solve(solve(t).pairs)
     except UnsolvedError:
         return
-    assert back.triple.form is t.form
-    assert np.max(np.abs(kron_unitary(t) - kron_unitary(back.triple))) < ROUND_TRIP_TOL
-
-
-def assert_same_solve_as_left(solver, left):
-    # a right-layout triple is the site mirror of the left one with the same
-    # pairs, so it has the same solution, labelled with the flipped form; the
-    # same pairs given as RGateParams make an equal triple and the same solve
-    right = YbeTriple(left.pairs, YbeForm.RIGHT)
-    gates = YbeTriple(left.gates)
-    assert gates == left
-    try:
-        want = solver(left)
-    except UnsolvedError:
-        for t in (right, gates):
-            with pytest.raises(UnsolvedError):
-                solver(t)
-        return
-    got = solver(gates)
-    assert (got.triple, got.residual, got.method) == (want.triple, want.residual, want.method)
-    got = solver(right)
-    assert got.triple.form is YbeForm.LEFT
-    assert (got.triple.pairs, got.residual, got.method) == (want.triple.pairs, want.residual, want.method)
-
-
-def test_right_layout_solves_as_its_left_mirror():
-    rng = np.random.default_rng(SEED + 10)
-    for angles in rng.choice(SPECIAL_ANGLES, (800, 3, 2)):
-        assert_same_solve_as_left(solve, YbeTriple(angles))
-    # criterion 2's singular shapes, where the numeric fallback is the path
-    shapes = [
-        lambda r: ((r.uniform(-1, 1), 0.1), (np.pi / 2, r.uniform(-1, 1)), (0.2, 0.5)),
-        lambda r: ((0.4, r.uniform(-1, 1)), (r.uniform(-1, 1), np.pi / 2), (0.2, 0.5)),
-        lambda r: ((np.pi / 2, 0.1), (r.uniform(-1, 1), 0.2), (np.pi / 2, 0.5)),
-        lambda r: ((0.0, r.uniform(-1, 1)), (0.3, 0.2), (0.0, 0.5)),
-        lambda r: ((0.4, np.pi / 2), (0.3, r.uniform(-1, 1)), (0.2, np.pi / 2)),
-    ]
-    for k in range(20):
-        assert_same_solve_as_left(numeric_fallback, YbeTriple(shapes[k % 5](rng)))
+    assert np.max(np.abs(kron_unitary(t, right) - kron_unitary(back.pairs, right))) < ROUND_TRIP_TOL
 
 
 def test_solve_middle_identity_merges_outer_gates():
     # bridge with an identity middle gate collapses to a single middle gate
-    t = YbeTriple(
-        (RGateParams(0.31, -0.2), RGateParams(0.0, 0.0), RGateParams(0.5, 0.7))
-    )
-    sol = solve(t)
-    (g1, d1), (g2, d2), (g3, d3) = sol.triple.pairs
+    sol = solve(((0.31, -0.2), (0.0, 0.0), (0.5, 0.7)))
+    (g1, d1), (g2, d2), (g3, d3) = sol.pairs
     assert (g1, d1) == (0.0, 0.0)
     assert (g3, d3) == (0.0, 0.0)
     assert g2 == pytest.approx(0.31 + 0.5, abs=1e-12)
@@ -318,11 +280,10 @@ def test_solve_singular_families():
         ((0.4, 0.0), (0.3, 0.2), (0.2, 0.0)),
         ((np.pi / 2, np.pi / 2), (np.pi / 2, np.pi / 2), (np.pi / 2, np.pi / 2)),
     ]
-    for angles in singular:
-        t = YbeTriple(tuple(RGateParams(g, d) for g, d in angles))
+    for t in singular:
         sol = solve(t)
         assert sol.residual < RESIDUAL_TOL
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.triple))) < RESIDUAL_TOL
+        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.pairs, right=True))) < RESIDUAL_TOL
 
 
 def test_numeric_fallback_agrees_with_oracle():
@@ -332,7 +293,7 @@ def test_numeric_fallback_agrees_with_oracle():
         sol = numeric_fallback(t)
         assert sol.method == "numeric-fallback"
         assert sol.residual < RESIDUAL_TOL
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.triple))) < RESIDUAL_TOL
+        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.pairs, right=True))) < RESIDUAL_TOL
 
 
 def test_solution_wraps_angles_to_principal_branch():
@@ -340,73 +301,49 @@ def test_solution_wraps_angles_to_principal_branch():
     for _ in range(50):
         t = random_triple(rng)
         sol = solve(t)
-        for gamma, delta in sol.triple.pairs:
+        for gamma, delta in sol.pairs:
             assert -np.pi < gamma <= np.pi + 1e-15
             assert -np.pi < delta <= np.pi + 1e-15
 
 
 def test_verify_relations_flags_wrong_answer():
-    t = YbeTriple(
-        (RGateParams(0.4, 0.1), RGateParams(0.3, 0.2), RGateParams(0.2, 0.5))
-    )
-    wrong = YbeTriple(
-        (RGateParams(0.4, 0.1), RGateParams(0.3, 0.2), RGateParams(0.2, 0.5)),
-        YbeForm.RIGHT,
-    )
-    report = verify_relations(t, wrong)
+    # the same pairs read in the right layout are not the mirror
+    t = ((0.4, 0.1), (0.3, 0.2), (0.2, 0.5))
+    report = verify_relations(t, t)
     assert report.residual > 1e-3
 
 
 def test_relations_see_the_sign_the_rotation_cannot():
     # an angle shifted by pi negates the unitary but keeps its rotation, so
     # only the relations reject the shifted triple
-    t = YbeTriple(((0.4, 0.1), (0.3, 0.2), (0.2, 0.5)))
-    out = solve(t).triple.pairs
+    t = ((0.4, 0.1), (0.3, 0.2), (0.2, 0.5))
+    out = solve(t).pairs
     for k in range(6):
         angles = [a for pair in out for a in pair]
         angles[k] += math.pi
-        shifted = YbeTriple(list(zip(angles[::2], angles[1::2])), YbeForm.RIGHT)
-        assert np.max(np.abs(kron_unitary(shifted) + kron_unitary(t))) < 1e-12
+        shifted = tuple(zip(angles[::2], angles[1::2]))
+        assert np.max(np.abs(kron_unitary(shifted, right=True) + kron_unitary(t))) < 1e-12
         report = verify_relations(t, shifted)
         assert report.matrix_residual < 1e-12
         assert report.residual > 1e-3
 
 
-@given(TRIPLES)
-def test_rotation_residual_agrees_with_dense_residual(t):
+@given(TRIPLES, st.booleans())
+def test_rotation_residual_agrees_with_dense_residual(t, right):
     # near a solution the Frobenius distance of the 6x6 rotations equals the
-    # one of the 8x8 unitaries to first order in the perturbation
-    out = solve(t).triple
-    near = YbeTriple([(g + 1e-6, d + 1e-6) for g, d in out.pairs], out.form)
-    left, right = (t, near) if t.form is YbeForm.LEFT else (near, t)
-    rotation = verify_relations(left, right).matrix_residual
-    dense = np.linalg.norm(kron_unitary(t) - kron_unitary(near))
+    # one of the 8x8 unitaries to first order in the perturbation; t is read
+    # in the right layout when right is set, and its solution in the other
+    near = tuple((g + 1e-6, d + 1e-6) for g, d in solve(t).pairs)
+    rotation = verify_relations(*((near, t) if right else (t, near))).matrix_residual
+    dense = np.linalg.norm(kron_unitary(t, right) - kron_unitary(near, not right))
     assert rotation == pytest.approx(dense, rel=1e-4)
-
-
-def test_triple_validation():
-    with pytest.raises(TypeError):
-        YbeTriple((0.1, 0.2, 0.3))
-    with pytest.raises(ValueError):
-        YbeTriple((RGateParams(0.1, 0.2),) * 2)
-    with pytest.raises(ValueError):
-        YbeTriple(((0.1, 0.2), (math.nan, 0.3), (0.4, 0.5)))
-    with pytest.raises(TypeError):
-        YbeTriple(((0.1, 0.2),) * 3, "left")
-    with pytest.raises(ValueError):
-        verify_relations(YbeTriple(((0.1, 0.2),) * 3, YbeForm.RIGHT), YbeTriple(((0.1, 0.2),) * 3))
-    with pytest.raises(ValueError):
-        YbeSolution(
-            YbeTriple((RGateParams(0.0, 0.0),) * 3), 0.0, "guesswork"
-        )
 
 
 def test_unsolved_error_reports_a_verified_residual():
     # at 4e16 an angle carries no precision: candidates fit the 6x6 rotation
     # or the sixteen relations, never both, and the error must say which failed
-    t = YbeTriple((RGateParams(0.3, 4e16), RGateParams(0.2, 0.1), RGateParams(0.5, 0.4)))
     with pytest.raises(UnsolvedError) as info:
-        solve(t)
+        solve(((0.3, 4e16), (0.2, 0.1), (0.5, 0.4)))
     err = info.value
     assert err.best_residual >= SOLVER_TOL
     assert err.report.residual == err.best_residual
