@@ -336,21 +336,22 @@ _QASM_STATEMENT = re.compile(
     re.VERBOSE,
 )
 _QASM_ARG = re.compile(r"^(?P<reg>[a-zA-Z_][a-zA-Z_0-9]*)\[(?P<idx>\d+)\]$")
-_FLOAT = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_FLOAT = re.compile(r"^(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _parse_angle(text: str, line: int, col: int) -> float:
     t = text.strip()
-    neg = False
-    if t.startswith("-"):
-        neg, t = True, t[1:].strip()
+    # one sign: a '-' before pi or a number, or a '+' joined to a number
+    neg = t.startswith("-")
+    if neg:
+        t = t[1:].strip()
     if t == "pi":
         value = math.pi
-    elif _FLOAT.match(t):
+    elif _FLOAT.match(t if neg else t.removeprefix("+")):
         value = float(t)
     else:
         raise QasmParseError(line, col, f"bad angle expression {text.strip()!r}")
-    if abs(value) > MAX_ANGLE:  # _FLOAT admits a second sign after the stripped one
+    if value > MAX_ANGLE:
         raise QasmParseError(
             line, col,
             f"angle {text.strip()} is beyond ±{MAX_ANGLE:g} rad, where it keeps too little precision",
@@ -378,10 +379,11 @@ def from_qasm(text: str) -> NativeCircuit:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("//", 1)[0]
-        if not code.strip():
-            continue
+        *stmts, tail = code.split(";")
+        if tail.strip():
+            raise QasmParseError(lineno, len(code.rstrip()), "statement not terminated by ';'")
         pos = 0
-        for stmt in code.split(";")[:-1] if code.rstrip().endswith(";") else _unterminated(code, lineno):
+        for stmt in stmts:
             col = pos + len(stmt) - len(stmt.lstrip()) + 1
             pos += len(stmt) + 1
             s = stmt.strip()
@@ -435,7 +437,3 @@ def from_qasm(text: str) -> NativeCircuit:
         return NativeCircuit(num_qubits, tuple(gates))
     except ValueError as exc:  # the register size: each gate was checked where it stands
         raise QasmParseError(*reg_at, str(exc)) from exc
-
-
-def _unterminated(code: str, lineno: int):
-    raise QasmParseError(lineno, len(code.rstrip()), "statement not terminated by ';'")

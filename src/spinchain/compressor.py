@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .circuit_ir import Circuit, PairGate
-from .propagators import Angles3, RGateParams
+from .propagators import RGateParams
 from .spin_model import ZERO_TOL, CouplingParams, HamiltonianClass, classify
-from .spin_model import UnsupportedClassError  # noqa: F401  (compress raises it)
 from .ybe import solve, wrap_angle
 
 RESIDUAL_BUDGET = 1e-6
@@ -104,17 +103,8 @@ def merge(a: PairGate, b: PairGate) -> PairGate:
         raise ValueError("cannot merge gates with different parameter kinds")
     if a.conjugation != b.conjugation:
         raise ValueError("cannot merge gates with different conjugation tags")
-    if isinstance(a.params, Angles3):
-        params: Angles3 | RGateParams = Angles3(
-            a.params.theta_x + b.params.theta_x,
-            a.params.theta_y + b.params.theta_y,
-            a.params.theta_z + b.params.theta_z,
-        )
-    else:
-        params = RGateParams(
-            a.params.gamma + b.params.gamma, a.params.delta + b.params.delta
-        )
-    return PairGate(a.pair, params, a.conjugation)
+    sums = (x + y for x, y in zip(a.params.as_tuple(), b.params.as_tuple()))
+    return PairGate(a.pair, type(a.params)(*sums), a.conjugation)
 
 
 class _WordEngine:
@@ -185,9 +175,9 @@ class _WordEngine:
             w.insert(end - 1, w.pop(q - 1))
 
     def _respell(self, order: list[int]) -> None:
-        # rewrite the word right to left into order, a reduced word of perm
-        if len(order) != len(self.word):
-            raise RuntimeError("emission left letters behind")
+        # rewrite the word right to left into order, a reduced word of perm. Both
+        # hold one letter per inversion: one per _ascend, kept by merges and braids,
+        # one per peel swap, and N(N-1)/2 in the triangle, which absorb passes a full word
         for end in range(len(order), 0, -1):
             self._mew(end, order[end - 1])
 
@@ -232,10 +222,7 @@ class _WordEngine:
         that absorption can go on."""
         twin = copy.copy(self)
         twin.word = [list(letter) for letter in self.word]
-        slots = _peel_template(self.perm, len(self.perm))
-        if slots is None:
-            raise RuntimeError(f"template peel failed for permutation {self.perm}")
-        # respell right-to-left into the alternating-slot template
+        slots = _peel_template(self.perm)
         twin._respell([j for s in slots for j in reversed(s)])
         conj = self.klass.family.conjugation
         gates = (
@@ -247,9 +234,10 @@ class _WordEngine:
         )
 
 
-def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
-    """Greedy right-to-left peel of a permutation into n alternating slots."""
-    sigma = list(perm)
+def _peel_template(perm: list[int]) -> list[list[int]]:
+    """Peel perm right to left into N alternating slots by odd-even transposition sort, which
+    sorts any N items in N rounds (Knuth, TAOCP Vol. 3, 5.3.4) and swaps once per inversion."""
+    n, sigma = len(perm), list(perm)
     slots: list[list[int]] = [[] for _ in range(n)]
     for k in range(n - 1, -1, -1):
         slot = slots[k]
@@ -262,7 +250,7 @@ def _peel_template(perm: list[int], n: int) -> list[list[int]] | None:
         # shallow block on a wide register cost O(n^2)
         if not slot and k < n - 1 and not slots[k + 1]:
             break
-    return slots if sigma == sorted(sigma) else None
+    return slots
 
 
 def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
@@ -274,7 +262,7 @@ def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
     return klass.family.r_params(a)
 
 
-def empty_block(n: int, klass: HamiltonianClass = HamiltonianClass.X) -> CompressedBlock:
+def empty_block(n: int, klass: HamiltonianClass) -> CompressedBlock:
     """The identity block: no gates, all template slots free."""
     return CompressedBlock(((),) * n, klass, 0.0, 0)
 

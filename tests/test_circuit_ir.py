@@ -75,6 +75,12 @@ def test_pair_gate_validation():
     with pytest.raises(ValueError):
         # conjugation tags only make sense on two-parameter gates
         PairGate(0, Angles3(0.1, 0.0, 0.0), conjugation="u1")
+    with pytest.raises(TypeError, match="^params must be Angles3 or RGateParams, got <class 'tuple'>$"):
+        PairGate(0, (0.1, 0.2))
+    with pytest.raises(ValueError, match="^unknown conjugation 'u3'$"):
+        PairGate(0, RGateParams(0.1, 0.2), conjugation="u3")
+    with pytest.raises(ValueError, match=r"^R params must be finite, got \(0.1, nan\)$"):
+        RGateParams(0.1, float("nan"))
     g = PairGate(2, RGateParams(0.3, 0.1), conjugation="u2")
     assert g.pair == 2
     assert g.unitary().shape == (4, 4)
@@ -90,6 +96,10 @@ def test_circuit_rejects_pairs_off_the_chain():
 def test_native_circuit_requires_adjacent_cx():
     with pytest.raises(ValueError):
         NativeCircuit(3, (NativeGate("cx", (0, 2)),))
+    with pytest.raises(ValueError, match="^cx carries no angle$"):
+        NativeGate("cx", (0, 1), 0.5)
+    with pytest.raises(ValueError, match=r"^gate .* out of range for 2 qubits$"):
+        NativeCircuit(2, (NativeGate("h", (2,)),))
 
 
 def test_build_trotter_structure():
@@ -116,6 +126,9 @@ def test_unitary_of_matches_kron_oracle():
         n = int(rng.integers(2, 6))
         c = random_pair_circuit(rng, n, int(rng.integers(1, 12)))
         assert np.max(np.abs(unitary_of(c) - circuit_unitary_oracle(c))) < TOL
+    # refused before the 2^13 x 2^13 matrix is allocated
+    with pytest.raises(ValueError, match="^dense oracle limited to 12 qubits, got 13$"):
+        unitary_of(Circuit(13, ()))
 
 
 def native_gate_oracle(g, n):
@@ -327,6 +340,14 @@ def test_from_qasm_accepts_pi_literals():
     native = from_qasm(text)
     assert native.gates[0].angle == np.pi
     assert native.gates[1].angle == -np.pi
+    # an angle takes one sign: a '-' before pi or a number, or a '+' joined to a number
+    for angle, value in (("0.5", 0.5), ("-0.5", -0.5), ("+0.5", 0.5), ("- 0.5", -0.5)):
+        assert from_qasm(QASM_HEADER + f"qreg q[1];\nrx({angle}) q[0];\n").gates[0].angle == value
+    for angle in ("--0.5", "-+0.5", "+-0.5", "+pi"):
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(QASM_HEADER + f"qreg q[1];\nh q[0]; rx({angle}) q[0];\n")
+        assert (err.value.line, err.value.column) == (4, 9)
+        assert str(err.value) == f"line 4, column 9: bad angle expression {angle!r}"
 
 
 def test_from_qasm_ignores_comments_and_blank_lines():
@@ -339,6 +360,8 @@ def test_from_qasm_ignores_comments_and_blank_lines():
     )
     native = from_qasm(text)
     assert [g.kind for g in native.gates] == ["h", "s"]
+    # an empty statement between two semicolons is skipped
+    assert from_qasm(QASM_HEADER + "qreg q[2];\nh q[0];; s q[1];\n") == native
 
 
 def test_from_qasm_error_positions():

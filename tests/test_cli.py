@@ -777,6 +777,36 @@ def test_errors_exit_2(tmp_path, capsys):
     assert main(["verify", str(bad), str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
 
+    def error_line(argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    no_j = {k: v for k, v in BASE_CONFIG.items() if k != "J"}
+    for text, message in (
+        ("not json", f"config {tmp_path / 'bad.json'}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+        ("[1]", "config root must be a JSON object"),
+        (json.dumps({**BASE_CONFIG, "J": [1, 2, 3]}), "config field 'J' must be an object with x, y, z entries"),
+        (json.dumps({**no_j, "class": "xq"}), "config field 'class' must name a coupling family, got 'xq'"),
+        (json.dumps(no_j), "config needs either 'J' or 'class'"),
+        (json.dumps({**BASE_CONFIG, "noise": 0.1}), "config field 'noise' must be an object"),
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert error_line(["evolve", "--config", str(cfg)]) == f"error: {message}\n"
+    two, three = tmp_path / "two.qasm", tmp_path / "three.qasm"
+    two.write_text("OPENQASM 2.0;\nqreg q[2];\n", encoding="utf-8")
+    three.write_text("OPENQASM 2.0;\nqreg q[3];\n", encoding="utf-8")
+    assert error_line(["verify", str(two), str(three)]) == "error: qubit counts differ: 2 vs 3\n"
+    for text, message in (
+        ("OPENQASM 2.0;\nqreg q[2];\nrx(abc) q[0];\n", "line 3, column 1: bad angle expression 'abc'"),
+        ("OPENQASM 3.0;\nqreg q[2];\n", "line 1, column 1: unsupported version in 'OPENQASM 3.0'"),
+        ("OPENQASM 2.0;\nqreg q;\n", "line 2, column 1: bad qreg declaration 'qreg q'"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        assert error_line(["verify", str(bad), str(bad)]) == f"error: {message}\n"
+
 
 def test_angles_beyond_the_bound_exit_2(tmp_path, capsys):
     # a step angle of 1e9 rad carries no precision: exit 2 before any solve or output

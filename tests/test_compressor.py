@@ -1,5 +1,6 @@
 """Merge and braid rewrites, layer absorption, fixed-depth blocks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from spinchain.circuit_ir import (
 )
 from spinchain.compressor import (
     CompressedBlock,
-    UnsupportedClassError,
     _peel_template,
     absorb_layer,
     compress,
@@ -29,7 +29,13 @@ from spinchain.compressor import (
 )
 from spinchain.propagators import RGateParams
 from spinchain.simulator import compressed_steps
-from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
+from spinchain.spin_model import (
+    Angles3,
+    CouplingParams,
+    HamiltonianClass,
+    TrotterPlan,
+    UnsupportedClassError,
+)
 from spinchain.ybe import wrap_angle
 
 TRIALS = 100
@@ -154,6 +160,9 @@ def test_compress_rejects_mixed_classes():
     )
     with pytest.raises(UnsupportedClassError):
         compress(Circuit(3, gates))
+    # a block keeps its class: a gate off it is refused where it is absorbed
+    with pytest.raises(ValueError, match=r"^gate with axes \['y'\] does not fit class X$"):
+        absorb_layer(empty_block(3, HamiltonianClass.X), [PairGate(0, Angles3(0.0, 0.2, 0.0))])
 
 
 def test_compress_empty_circuit():
@@ -210,7 +219,24 @@ def test_peel_template_matches_the_full_scan():
             perm[j], perm[j + 1] = perm[j + 1], perm[j]
         perms.append(perm)
     for perm in perms:
-        assert _peel_template(perm, len(perm)) == _peel_all_rounds(perm, len(perm))
+        assert _peel_template(perm) == _peel_all_rounds(perm, len(perm))
+
+
+def test_peel_template_sorts_every_small_permutation_once_per_inversion():
+    # the odd-even transposition sort behind the peel sorts any n elements in
+    # n rounds, and swaps only descents: every permutation of n <= 7
+    for n in range(1, 8):
+        for perm in itertools.permutations(range(n)):
+            slots = _peel_template(list(perm))
+            assert len(slots) == n
+            sigma = list(perm)
+            for k in range(n - 1, -1, -1):
+                for j in slots[k]:
+                    assert j % 2 == k % 2
+                    sigma[j], sigma[j + 1] = sigma[j + 1], sigma[j]
+            assert sigma == list(range(n)), perm
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            assert sum(map(len, slots)) == inversions, perm
 
 
 def test_pad_to_template_reaches_full_size():
@@ -249,6 +275,8 @@ def test_compressed_block_validation():
     assert block.conjugation == "u2"
     with pytest.raises(ValueError):
         CompressedBlock(block.slots, block.klass, -1.0, block.ybe_moves)  # negative residual
+    with pytest.raises(ValueError, match="^ybe_moves must be nonnegative, got -1$"):
+        CompressedBlock(block.slots, block.klass, block.residual, -1)
     with pytest.raises(ValueError):
         CompressedBlock(block.slots, HamiltonianClass.XYZ, block.residual, block.ybe_moves)
     gate = PairGate(0, RGateParams(0.1, 0.2), "u2")

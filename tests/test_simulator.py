@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from spinchain import simulator
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, to_native, unitary_of
-from spinchain.compressor import UnsupportedClassError, pad_to_template
+from spinchain.compressor import pad_to_template
 from spinchain.simulator import (
     NoiseModel,
     ObservableSeries,
@@ -21,7 +21,7 @@ from spinchain.simulator import (
     staggered_magnetization,
 )
 from spinchain.propagators import NativeGate
-from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan
+from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan, UnsupportedClassError
 
 TRIALS = 40
 TOL = 1e-12
@@ -86,6 +86,8 @@ def test_staggered_magnetization_superposition():
     s = (neel_state(2) + basis_state(2, "10")) / np.sqrt(2)
     # |01> gives +1, |10> gives -1; the equal mix averages to 0
     assert staggered_magnetization(s) == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError, match="^state dimension 6 is not a power of two$"):
+        staggered_magnetization(np.ones(6))
 
 
 def test_staggered_magnetization_of_a_block_matches_each_column():
@@ -116,6 +118,8 @@ def test_apply_circuit_equals_dense_unitary():
         state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         state /= np.linalg.norm(state)
         assert np.max(np.abs(apply_circuit(state, c) - unitary_of(c) @ state)) < TOL
+    with pytest.raises(ValueError, match="^state has dimension 4, circuit needs 8$"):
+        apply_circuit(np.ones(4), Circuit(3, ()))
 
 
 def test_run_dynamics_exact_matches_expm_series():
@@ -155,6 +159,8 @@ def test_run_dynamics_rejects_unknown_mode_and_class():
         run_dynamics(3, j, plan, "magic")
     with pytest.raises(UnsupportedClassError):
         run_dynamics(3, j, plan, "compressed")
+    with pytest.raises(ValueError, match="^initial state has dimension 4, need 8$"):
+        run_dynamics(3, j, plan, "trotter", init_state=np.ones(4))
     # exact and trotter have no class restriction
     run_dynamics(3, j, plan, "exact")
     run_dynamics(3, j, plan, "trotter")
@@ -226,6 +232,8 @@ def test_run_noisy_series_final_row_matches_unrolled():
 
     unrolled = NativeCircuit(n, native.gates * steps)
     assert series[-1] == run_noisy(unrolled, noise)
+    with pytest.raises(ValueError, match="^num_steps must be >= 1, got 0$"):
+        run_noisy_series(step, 0, noise)
 
 
 def test_run_noisy_series_draws_in_step_blocks(monkeypatch):

@@ -70,6 +70,8 @@ def test_coupling_params_reject_nonfinite():
         CouplingParams(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         CouplingParams(0.0, float("inf"), 0.0)
+    with pytest.raises(ValueError, match="^angle theta_y must be finite, got nan$"):
+        Angles3(0.1, float("nan"), 0.0)
 
 
 def test_trotter_plan_grid():
@@ -91,6 +93,8 @@ def test_trotter_plan_rejects_bad_grid():
         TrotterPlan(1.0, 0.0)
     with pytest.raises(ValueError):
         TrotterPlan(-1.0, 0.1)
+    with pytest.raises(ValueError, match="^t_final must be finite, got inf$"):
+        TrotterPlan(math.inf, 0.1)
     # the step count overflows to +-inf: a diagnostic, not an OverflowError
     with pytest.raises(ValueError, match="too large"):
         TrotterPlan(1e300, 1e-300)

@@ -358,3 +358,5 @@ def test_unsolved_error_carries_best_residual():
     assert err.best_residual == 0.125
     assert err.report is report
     assert "0.125" in str(err) or "1.25" in str(err)
+    assert report.worst_check == "sixteen relations"
+    assert RelationReport(0.0625, 0.125).worst_check == "6x6 rotation identity"
