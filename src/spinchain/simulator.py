@@ -192,10 +192,13 @@ def _exact_series(n, j, plan, init):
 
 
 def _trotter_series(step, num_steps, init):
+    # every step applies the same gates: build their matrices once
+    ops = list(local_ops(step))
     state = init
     out = [staggered_magnetization(state)]
     for _ in range(num_steps):
-        state = apply_circuit(state, step)
+        for low, m in ops:
+            state = _dense.apply_gate(state, m, low)
         out.append(staggered_magnetization(state))
     return out
 

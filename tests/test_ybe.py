@@ -9,20 +9,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain.propagators import RGateParams, r_matrix
+from spinchain.spin_model import MAX_ANGLE
 from spinchain.ybe import (
     SOLVER_TOL,
     _rotation,
     RelationReport,
     UnsolvedError,
     YbeSolution,
-    numeric_fallback,
     relations,
     solve,
-    triple_unitary,
     verify_relations,
     wrap_angle,
 )
@@ -115,14 +114,6 @@ def test_relations_match_written_out_rows_exactly():
         assert got.tobytes() == reference_relations(left, right).tobytes()
 
 
-def test_triple_unitary_matches_kron_oracle():
-    rng = np.random.default_rng(SEED)
-    for _ in range(100):
-        for right in (False, True):
-            t = random_triple(rng)
-            assert np.max(np.abs(triple_unitary(t, right) - kron_unitary(t, right))) < 1e-12
-
-
 def test_solve_random_triples():
     rng = np.random.default_rng(SEED + 1)
     for _ in range(TRIALS):
@@ -136,7 +127,7 @@ def test_solve_random_triples():
         assert report.max_relation < RESIDUAL_TOL
 
 
-# criterion 2's singular shapes, where the numeric fallback is the path
+# criterion 2's singular shapes, where naive elimination divides by zero
 SINGULAR_SHAPES = [
     lambda r: ((r.uniform(-1, 1), 0.1), (np.pi / 2, r.uniform(-1, 1)), (0.2, 0.5)),
     lambda r: ((0.4, r.uniform(-1, 1)), (r.uniform(-1, 1), np.pi / 2), (0.2, 0.5)),
@@ -148,7 +139,7 @@ SINGULAR_SHAPES = [
 
 def test_solve_right_to_left():
     # a right-layout triple is the site mirror of the left one with the same
-    # pairs, so the same call gives its left-layout mirror, by either path
+    # pairs, so the same call gives its left-layout mirror, singular ones too
     rng = np.random.default_rng(SEED + 2)
     for _ in range(100):
         t = random_triple(rng)
@@ -156,8 +147,8 @@ def test_solve_right_to_left():
         assert np.max(np.abs(kron_unitary(t, right=True) - kron_unitary(sol.pairs))) < RESIDUAL_TOL
     for k in range(20):
         t = SINGULAR_SHAPES[k % 5](rng)
-        sol = numeric_fallback(t)
-        assert sol.method == "numeric-fallback"
+        sol = solve(t)
+        assert sol.method == "analytic"
         assert np.max(np.abs(kron_unitary(t, right=True) - kron_unitary(sol.pairs))) < RESIDUAL_TOL
 
 
@@ -179,9 +170,25 @@ PAIRS = st.tuples(ANGLES, ANGLES)
 TRIPLES = st.tuples(PAIRS, PAIRS, PAIRS)
 
 
-WIDE_ANGLES = st.floats(-1e3, 1e3)
+# the largest angle a job hands the solver: step angles are capped at
+# MAX_ANGLE / 2, a QASM rx at MAX_ANGLE (a gate gets half of it), and merged
+# sums are wrapped
+WIDE_ANGLES = st.floats(-MAX_ANGLE / 2, MAX_ANGLE / 2)
 WIDE_PAIRS = st.tuples(WIDE_ANGLES, WIDE_ANGLES)
 WIDE_TRIPLES = st.tuples(WIDE_PAIRS, WIDE_PAIRS, WIDE_PAIRS)
+
+# every slot on a grid of special angles, 1e-9 off 0 and pi/2 included
+GRID_ANGLES = st.sampled_from((
+    0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+    3 * math.pi / 4, 1e-9, -1e-9, math.pi / 2 + 1e-9, math.pi / 2 - 1e-9,
+))
+GRID_PAIRS = st.tuples(GRID_ANGLES, GRID_ANGLES)
+GRID_TRIPLES = st.tuples(GRID_PAIRS, GRID_PAIRS, GRID_PAIRS)
+SINGULAR_TRIPLES = st.builds(
+    lambda k, seed: SINGULAR_SHAPES[k](np.random.default_rng(seed)),
+    st.integers(0, len(SINGULAR_SHAPES) - 1),
+    st.integers(0, 2**32 - 1),
+)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -238,10 +245,12 @@ def test_rotation_matches_jordan_wigner_oracle():
             assert np.max(np.abs(want - module_rotation(t, right))) < 1e-12
 
 
-@given(st.one_of(TRIPLES, WIDE_TRIPLES))
-def test_closed_form_verifies_without_the_fallback(t):
-    # the closed form gives one candidate; it must verify on its own, or the
-    # slow numeric fallback would silently absorb the cost
+@settings(max_examples=1000)
+@given(st.one_of(TRIPLES, WIDE_TRIPLES, GRID_TRIPLES, SINGULAR_TRIPLES))
+def test_closed_form_is_total(t):
+    # a mirror always exists, so the closed form's one candidate (or the
+    # merge of an identity middle gate) must verify on every input up to the
+    # bound; nothing else backs it
     sol = solve(t)
     assert sol.method == "analytic"
     assert sol.residual < SOLVER_TOL
@@ -282,16 +291,6 @@ def test_solve_singular_families():
     ]
     for t in singular:
         sol = solve(t)
-        assert sol.residual < RESIDUAL_TOL
-        assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.pairs, right=True))) < RESIDUAL_TOL
-
-
-def test_numeric_fallback_agrees_with_oracle():
-    rng = np.random.default_rng(SEED + 4)
-    for _ in range(10):
-        t = random_triple(rng)
-        sol = numeric_fallback(t)
-        assert sol.method == "numeric-fallback"
         assert sol.residual < RESIDUAL_TOL
         assert np.max(np.abs(kron_unitary(t) - kron_unitary(sol.pairs, right=True))) < RESIDUAL_TOL
 
