@@ -22,8 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spin_model import ZERO_TOL
-
 SOLVER_TOL = 1e-9
 
 _WRAP_SNAP_TOL = 1e-12
@@ -41,8 +39,7 @@ class YbeSolution(NamedTuple):
     """Mirrored triple, its verified residual and the path that found it.
 
     pairs is the right-layout mirror of a left-layout input, in operator
-    order; method is always "analytic", the closed form or its merge
-    shortcut.
+    order; method is always "analytic", the closed form.
     """
 
     pairs: AngleTriple
@@ -71,7 +68,7 @@ class RelationReport:
 
 
 class UnsolvedError(Exception):
-    """No candidate met the solver tolerance; carries the best candidate's report.
+    """The closed form's candidate missed the solver tolerance; carries its report.
 
     The message gives its verified residual and names the check it failed:
     the sixteen relations or the 6x6 rotation identity.
@@ -199,44 +196,16 @@ def _aggregates(t: AngleTriple) -> tuple[float, float, float, float, float, floa
     return p, m, q, n, g5, d5
 
 
-def _analytic_solve(t: AngleTriple) -> tuple[AngleTriple, RelationReport]:
-    """Closed-form solve: the one candidate the aggregates give, verified."""
-    p, m, q, n, g5, d5 = _aggregates(t)
-    out = (
-        (wrap_angle((p + m) / 2), wrap_angle((q + n) / 2)),
-        (wrap_angle(g5), wrap_angle(d5)),
-        (wrap_angle((p - m) / 2), wrap_angle((q - n) / 2)),
-    )
-    return out, verify_relations(t, out)
-
-
-def _merge_degenerate(t: AngleTriple) -> AngleTriple | None:
-    # identity middle gate: the triple collapses to a merge of the outer gates
-    (g1, d1), (g2, d2), (g3, d3) = t
-    if abs(wrap_angle(g2)) <= ZERO_TOL and abs(wrap_angle(d2)) <= ZERO_TOL:
-        return ((0.0, 0.0), (wrap_angle(g1 + g3), wrap_angle(d1 + d3)), (0.0, 0.0))
-    return None
-
-
 def solve(t: AngleTriple) -> YbeSolution:
     """Rewrite a left-layout bridge triple into the right layout with the same unitary.
 
-    A triple with an identity middle gate merges its outer gates; any other
-    takes the closed form's one candidate. A candidate is accepted when its
-    verified residual (rotation and all sixteen relations) is below
-    SOLVER_TOL; otherwise UnsolvedError carries the better verified report.
-    The same call solves right to left: R(gamma, delta) is symmetric under
-    the swap of its two qubits, so the site mirror turns LEFT(a) = RIGHT(b)
-    into RIGHT(a) = LEFT(b), and a right-layout triple's pairs solve to its
-    left-layout mirror.
+    The closed form gives one candidate, accepted when its verified residual
+    (rotation and all sixteen relations) is below SOLVER_TOL; otherwise
+    UnsolvedError carries its report. The same call solves right to left:
+    R(gamma, delta) is symmetric under the swap of its two qubits, so the
+    site mirror turns LEFT(a) = RIGHT(b) into RIGHT(a) = LEFT(b), and a
+    right-layout triple's pairs solve to its left-layout mirror.
     """
-    reports = []
-    fast = _merge_degenerate(t)
-    if fast is not None:
-        report = verify_relations(t, fast)
-        if report.residual < SOLVER_TOL:
-            return YbeSolution(fast, report.residual, "analytic")
-        reports.append(report)
     # No search backs the closed form, because a mirror always exists: each
     # 3x3 block of a left triple's rotation is an Euler product T01 T12 T01,
     # every SO(3) rotation also factors as T12 T01 T12, and gamma -> gamma +
@@ -244,7 +213,13 @@ def solve(t: AngleTriple) -> YbeSolution:
     # left is rounding. Over 2.4 M triples with angles up to MAX_ANGLE / 2
     # (spin_model), the largest a job hands the solver, the worst residual
     # was 2^-32 (two ulps of a sum near 1e6), 4x below SOLVER_TOL.
-    out, report = _analytic_solve(t)
+    p, m, q, n, g5, d5 = _aggregates(t)
+    out = (
+        (wrap_angle((p + m) / 2), wrap_angle((q + n) / 2)),
+        (wrap_angle(g5), wrap_angle(d5)),
+        (wrap_angle((p - m) / 2), wrap_angle((q - n) / 2)),
+    )
+    report = verify_relations(t, out)
     if report.residual < SOLVER_TOL:
         return YbeSolution(out, report.residual, "analytic")
-    raise UnsolvedError(min(reports + [report], key=lambda r: r.residual))
+    raise UnsolvedError(report)

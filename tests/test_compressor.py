@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinchain import compressor
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import (
     Circuit,
@@ -36,7 +37,7 @@ from spinchain.spin_model import (
     TrotterPlan,
     UnsupportedClassError,
 )
-from spinchain.ybe import wrap_angle
+from spinchain.ybe import solve, wrap_angle
 
 TRIALS = 100
 TOL = 1e-12
@@ -124,12 +125,37 @@ def test_compress_step_count_independence():
     assert shapes[0][1] == shapes[1][1]
 
 
-def test_compress_single_axis_classes():
+def kron_product(c):
+    # operator product of the gates' kron embeddings, qubit 0 leftmost
+    n = c.num_qubits
+    u = np.eye(2 ** n, dtype=complex)
+    for g in c.gates:
+        u = np.kron(np.eye(2 ** g.pair), np.kron(g.unitary(), np.eye(2 ** (n - g.pair - 2)))) @ u
+    return u
+
+
+def test_compress_single_axis_classes(monkeypatch):
     for j in (CouplingParams(0.9, 0.0, 0.0), CouplingParams(0.0, 0.0, 0.7)):
         c = build_trotter_circuit(3, j, TrotterPlan(0.4, 0.05))
         block = compress(c)
         assert block.gate_count <= max_gate_count(3)
         assert phase_distance(unitary_of(block.circuit), unitary_of(c)) < PHASE_TOL
+    # all couplings zero classify as X, and every bridge move has an identity
+    # middle gate: the closed form alone must solve each one
+    methods = []
+
+    def spy(t):
+        sol = solve(t)
+        methods.append(sol.method)
+        return sol
+
+    monkeypatch.setattr(compressor, "solve", spy)
+    for n in range(2, 9):
+        methods.clear()
+        block = compress(build_trotter_circuit(n, CouplingParams(0.0, 0.0, 0.0), TrotterPlan(1.0, 0.1)))
+        assert block.klass is HamiltonianClass.X
+        assert methods == ["analytic"] * block.ybe_moves
+        assert phase_distance(kron_product(block.circuit), np.eye(2 ** n)) < PHASE_TOL
 
 
 def test_compress_rejects_three_axis_class():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain.propagators import RGateParams, r_matrix
-from spinchain.spin_model import MAX_ANGLE
+from spinchain.spin_model import MAX_ANGLE, ZERO_TOL
 from spinchain.ybe import (
     SOLVER_TOL,
     _rotation,
@@ -191,6 +191,25 @@ SINGULAR_TRIPLES = st.builds(
 )
 
 
+# identity middle gates at the input bound: the middle letters are signed
+# zeros or round-off below ZERO_TOL, the outer ones wide, same-signed near
+# +-MAX_ANGLE / 2 (so g1 +- g3 and d1 +- d3 reach MAX_ANGLE), or in +-pi
+ZERO_ANGLES = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-ZERO_TOL, ZERO_TOL))
+SIGNS = st.sampled_from((1.0, -1.0))
+
+
+def near_bound_outers(sg, sd, offsets):
+    a, b, c, d = (MAX_ANGLE / 2 - x for x in offsets)
+    return (sg * a, sd * b), (sg * c, sd * d)
+
+
+NEAR_BOUND_OUTERS = st.builds(near_bound_outers, SIGNS, SIGNS, st.tuples(*[st.floats(0, 10)] * 4))
+OUTERS = st.one_of(st.tuples(WIDE_PAIRS, WIDE_PAIRS), NEAR_BOUND_OUTERS, st.tuples(PAIRS, PAIRS))
+ZERO_MIDDLE_TRIPLES = st.builds(
+    lambda outer, middle: (outer[0], middle, outer[1]), OUTERS, st.tuples(ZERO_ANGLES, ZERO_ANGLES)
+)
+
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -246,14 +265,15 @@ def test_rotation_matches_jordan_wigner_oracle():
 
 
 @settings(max_examples=1000)
-@given(st.one_of(TRIPLES, WIDE_TRIPLES, GRID_TRIPLES, SINGULAR_TRIPLES))
+@given(st.one_of(TRIPLES, WIDE_TRIPLES, GRID_TRIPLES, SINGULAR_TRIPLES, ZERO_MIDDLE_TRIPLES))
 def test_closed_form_is_total(t):
-    # a mirror always exists, so the closed form's one candidate (or the
-    # merge of an identity middle gate) must verify on every input up to the
-    # bound; nothing else backs it
+    # a mirror always exists, so the closed form's one candidate must verify
+    # on every input up to the bound, identity middle gates included;
+    # nothing else backs it; the residual reported is the verified one
     sol = solve(t)
     assert sol.method == "analytic"
     assert sol.residual < SOLVER_TOL
+    assert verify_relations(t, sol.pairs).residual == sol.residual
 
 
 @given(TRIPLES, st.booleans())
@@ -268,7 +288,9 @@ def test_solve_round_trip_property(t, right):
 
 
 def test_solve_middle_identity_merges_outer_gates():
-    # bridge with an identity middle gate collapses to a single middle gate
+    # bridge with an identity middle gate collapses to a single middle gate:
+    # here g1 + g3 and d1 + d3 lie in (0, pi/2), so the closed form's four
+    # outer aggregates are zero and it returns the merge itself
     sol = solve(((0.31, -0.2), (0.0, 0.0), (0.5, 0.7)))
     (g1, d1), (g2, d2), (g3, d3) = sol.pairs
     assert (g1, d1) == (0.0, 0.0)
