@@ -15,8 +15,10 @@ def apply_gate(mat: np.ndarray, gate: np.ndarray, low: int, out: np.ndarray | No
 
     Without ``out`` the gate's axis goes to the front for one (k, k) @
     (k, rest) product; the moved copy is freed when the product returns. The
-    noiseless and noisy engines take this path: on a statevector or a few
-    columns, a batched matmul rounds differently and would move their CSVs.
+    noiseless and noisy engines take this path. From N = 3 on it gives each
+    column the same bits whatever the number of columns beside it, so a noisy
+    shot's row does not depend on the chunk it runs in; a batched matmul
+    breaks that, and would move the engines' CSVs.
 
     With ``out`` (C-contiguous, mat's shape, sharing no memory with mat) the
     product is one batched matmul of the (2**low, k, rest) view into out's

@@ -30,10 +30,8 @@ CONJUGATION_TAGS = tuple(_CONJUGATOR_KIND)
 
 @dataclass(frozen=True)
 class RGateParams:
-    """Parameters of the two-qubit propagator R(gamma, delta).
-
-    gamma is the XX-type rotation, delta the ZZ-type phase.
-    """
+    """Parameters of R(gamma, delta) = exp(i(gamma XX + delta ZZ)), the
+    (gamma, 0, delta) slice of xyz_propagator."""
 
     gamma: float
     delta: float
@@ -138,11 +136,6 @@ def xyz_propagator(a: Angles3) -> np.ndarray:
     return u
 
 
-def r_matrix(p: RGateParams) -> np.ndarray:
-    """The two-parameter propagator R(gamma, delta) = exp(i(gamma XX + delta ZZ))."""
-    return xyz_propagator(Angles3(p.gamma, 0.0, p.delta))
-
-
 def decompose_xyz(a: Angles3) -> GateSequence:
     """Three-CX native circuit for the general two-spin propagator.
 
@@ -193,13 +186,3 @@ def r_gate_sequence(p: RGateParams, tag: str) -> GateSequence:
     before, after = SANDWICH[tag]
     return (*before, cx, *(core or [NativeGate("rx", (0,), 0.0)]), cx, *after)
 
-
-def sequence_unitary(seq: GateSequence) -> np.ndarray:
-    """Evaluate a two-qubit native sequence to its 4x4 unitary (time order)."""
-    u = np.eye(4, dtype=complex)
-    for gate in seq:
-        g = native_gate_matrix(gate)
-        if gate.kind != "cx":
-            g = np.kron(g, np.eye(2)) if gate.qubits == (0,) else np.kron(np.eye(2), g)
-        u = g @ u
-    return u

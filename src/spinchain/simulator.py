@@ -360,7 +360,7 @@ def run_noisy(
     default_rng(seed + s), independent of batching.
     """
     gates, init = _gates(c), _initial_state(c.num_qubits, init_state)
-    return _mean_stderr(_restarted_row(gates, noise, init, {}), noise.shots)
+    return _mean_stderr(_series_values(gates, 1, noise, init)[1], noise.shots)
 
 
 def run_noisy_series(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spinchain._dense import phase_distance
-from spinchain.circuit_ir import Circuit, PairGate, to_native
+from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, to_native, unitary_of
 from spinchain.propagators import (
     CX_MATRIX,
     CX_REVERSED_MATRIX,
@@ -20,10 +20,8 @@ from spinchain.propagators import (
     decompose_xyz,
     native_gate_matrix,
     r_gate_sequence,
-    r_matrix,
     rx_matrix,
     rz_matrix,
-    sequence_unitary,
     xyz_propagator,
 )
 from spinchain.spin_model import (
@@ -98,7 +96,7 @@ def test_native_gate_matrix_dispatch():
     # the matrix acts on the gate's qubits in ascending order, so a cx whose
     # control is the higher qubit comes back reversed
     assert np.allclose(native_gate_matrix(NativeGate("cx", (1, 0))), CX_REVERSED_MATRIX)
-    u = sequence_unitary((NativeGate("cx", (1, 0)),))
+    u = unitary_of(NativeCircuit(2, (NativeGate("cx", (1, 0)),)))
     assert np.allclose(u, CX_REVERSED_MATRIX)
 
 
@@ -122,25 +120,17 @@ def test_xyz_propagator_is_ordered_axis_product():
         assert np.max(np.abs(xyz_propagator(a) - prod)) < TOL
 
 
-def test_r_matrix_is_two_parameter_slice():
-    rng = np.random.default_rng(SEED + 3)
-    for _ in range(TRIALS):
-        gamma, delta = rng.uniform(-np.pi, np.pi, 2)
-        expected = xyz_oracle(Angles3(gamma, 0.0, delta))
-        assert np.max(np.abs(r_matrix(RGateParams(gamma, delta)) - expected)) < TOL
-
-
 def test_r_matrix_periodicity():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(50):
         gamma, delta = rng.uniform(-np.pi, np.pi, 2)
-        r0 = r_matrix(RGateParams(gamma, delta))
-        r1 = r_matrix(RGateParams(gamma + 2 * np.pi, delta))
-        r2 = r_matrix(RGateParams(gamma, delta + 2 * np.pi))
+        r0 = xyz_propagator(Angles3(gamma, 0.0, delta))
+        r1 = xyz_propagator(Angles3(gamma + 2 * np.pi, 0.0, delta))
+        r2 = xyz_propagator(Angles3(gamma, 0.0, delta + 2 * np.pi))
         assert np.max(np.abs(r0 - r1)) < TOL
         assert np.max(np.abs(r0 - r2)) < TOL
         # pi shift flips the sign only
-        r3 = r_matrix(RGateParams(gamma + np.pi, delta))
+        r3 = xyz_propagator(Angles3(gamma + np.pi, 0.0, delta))
         assert phase_distance(r0, r3) < TOL
 
 
@@ -153,7 +143,7 @@ def test_angles3_gates_emit_their_class_circuit():
             a = Angles3(*(rng.uniform(-1.5, 1.5) if axis in klass.axes else 0.0 for axis in "xyz"))
             native = to_native(Circuit(2, (PairGate(0, a),)))
             assert sum(1 for g in native.gates if g.kind == "cx") == (3 if klass is HamiltonianClass.XYZ else 2)
-            assert phase_distance(sequence_unitary(native.gates), xyz_oracle(a)) < PHASE_TOL
+            assert phase_distance(unitary_of(native), xyz_oracle(a)) < PHASE_TOL
 
 
 def test_from_angles3_covers_two_axis_families():
@@ -204,7 +194,7 @@ def test_decompose_xyz_matches_propagator():
         a = random_angles(rng)
         seq = decompose_xyz(a)
         assert sum(1 for g in seq if g.kind == "cx") == 3
-        assert phase_distance(sequence_unitary(seq), xyz_propagator(a)) < PHASE_TOL
+        assert phase_distance(unitary_of(NativeCircuit(2, seq)), xyz_propagator(a)) < PHASE_TOL
 
 
 def test_special_case_sequences_match_conjugated_r():
@@ -229,7 +219,7 @@ def test_special_case_sequences_match_conjugated_r():
             p = RGateParams(gamma, delta)
             seq = r_gate_sequence(p, tag)
             assert sum(1 for g in seq if g.kind == "cx") <= 2
-            assert phase_distance(sequence_unitary(seq), conjugated_oracle(p, tag)) < PHASE_TOL
+            assert phase_distance(unitary_of(NativeCircuit(2, seq)), conjugated_oracle(p, tag)) < PHASE_TOL
 
 
 def test_special_case_sequence_rejects_three_axis_class():
@@ -241,4 +231,4 @@ def test_special_case_sequence_rejects_three_axis_class():
 def test_zero_angle_gates_reduce_to_identity_phase():
     for klass in (HamiltonianClass.X, HamiltonianClass.Z, HamiltonianClass.XY):
         seq = r_gate_sequence(RGateParams(0.0, 0.0), klass.family.conjugation)
-        assert phase_distance(sequence_unitary(seq), np.eye(4)) < PHASE_TOL
+        assert phase_distance(unitary_of(NativeCircuit(2, seq)), np.eye(4)) < PHASE_TOL

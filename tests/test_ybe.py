@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchain.propagators import RGateParams, r_matrix
-from spinchain.spin_model import MAX_ANGLE, ZERO_TOL
+from spinchain.propagators import xyz_propagator
+from spinchain.spin_model import MAX_ANGLE, ZERO_TOL, Angles3
 from spinchain.ybe import (
     SOLVER_TOL,
     _rotation,
@@ -39,7 +39,7 @@ def kron_unitary(triple, right=False):
     mats = []
     for k, (g, d) in enumerate(triple):
         low = (not right) == (k % 2 == 0)
-        r = r_matrix(RGateParams(g, d))
+        r = xyz_propagator(Angles3(g, 0.0, d))
         mats.append(np.kron(r, eye) if low else np.kron(eye, r))
     return mats[0] @ mats[1] @ mats[2]
 
