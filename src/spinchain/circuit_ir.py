@@ -274,7 +274,11 @@ def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
     from the rx and rz after the tag's sandwich head and the first cx (an
     absent one reads as 0.0), and the pair gate is accepted only when the
     emitter would write exactly these gates, angles compared as parsed.
+
+    A Trotter circuit repeats a few distinct pair gates, so each distinct
+    gate's block is built once per call and reused from a cache local to it.
     """
+    block_of = functools.cache(_pair_gate_native)
     gates = native.gates
     out: list[PairGate] = []
     pos = 0
@@ -292,7 +296,7 @@ def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
             if i < len(gates) and gates[i].kind == "rz":
                 delta = -0.5 * gates[i].angle
             gate = PairGate(gates[cx].qubits[0], RGateParams(gamma, delta), tag)
-            block = _pair_gate_native(gate)
+            block = block_of(gate)
         if not block or gates[pos : pos + len(block)] != block:
             raise ValueError(
                 f"unrecognized gate structure at native gate {pos}; expected "
@@ -371,10 +375,18 @@ def from_qasm(text: str) -> NativeCircuit:
 
     The gate set is {rx, rz, h, s, cx}; anything else is rejected with the
     offending line and column.
+
+    A Trotter circuit repeats a few distinct statements once per step, so
+    each distinct gate statement is parsed once per call: its stripped text
+    maps to its gate in a dict local to the call. Once the one qreg is read, a
+    gate statement's gate depends only on its text, and only statements that
+    parse and build without error are stored, so every error is still raised
+    at its first occurrence.
     """
     num_qubits: int | None = None
     reg_name: str | None = None
     gates: list[NativeGate] = []
+    parsed: dict[str, NativeGate] = {}
     saw_version = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -384,11 +396,14 @@ def from_qasm(text: str) -> NativeCircuit:
             raise QasmParseError(lineno, len(code.rstrip()), "statement not terminated by ';'")
         pos = 0
         for stmt in stmts:
-            col = pos + len(stmt) - len(stmt.lstrip()) + 1
-            pos += len(stmt) + 1
+            start, pos = pos, pos + len(stmt) + 1
             s = stmt.strip()
+            if (gate := parsed.get(s)) is not None:
+                gates.append(gate)
+                continue
             if not s:
                 continue
+            col = start + len(stmt) - len(stmt.lstrip()) + 1
             if s.startswith("OPENQASM"):
                 if s.split()[1:] != ["2.0"]:
                     raise QasmParseError(lineno, col, f"unsupported version in {s!r}")
@@ -425,9 +440,11 @@ def from_qasm(text: str) -> NativeCircuit:
             angle_text = m.group("angle")
             angle = None if angle_text is None else _parse_angle(angle_text, lineno, col)
             try:
-                gates.append(NativeGate(kind, tuple(qubits), angle))
+                gate = NativeGate(kind, tuple(qubits), angle)
             except ValueError as exc:
                 raise QasmParseError(lineno, col, str(exc)) from exc
+            gates.append(gate)
+            parsed[s] = gate
 
     if not saw_version:
         raise QasmParseError(1, 1, "missing OPENQASM 2.0 header")

@@ -441,6 +441,42 @@ def test_from_qasm_rejects_indices_beyond_the_int_digit_limit():
         assert "5000 digits" in str(err.value)
 
 
+def test_from_qasm_reads_repeated_statements_in_place():
+    # each distinct statement is parsed once per call; a repeat still gives
+    # its gate where it stands
+    native = to_native(build_trotter_circuit(4, CouplingParams(0.5, -0.3, 0.2), TrotterPlan(0.2, 0.1)))
+    qreg, *body = to_qasm(native).splitlines()[2:]
+    doubled = QASM_HEADER + qreg + "\n" + "".join(f"{line}\n{line}\n" for line in body)
+    assert from_qasm(doubled).gates == tuple(g for g in native.gates for _ in range(2))
+
+
+def test_from_qasm_reports_a_repeated_bad_statement_at_its_first_line():
+    base = QASM_HEADER + "qreg q[3];\n"
+    for stmt, needle in (
+        ("rx(1e99) q[0];", "beyond"),
+        ("cx q[0],q[2];", "cx must act on adjacent qubits"),
+        ("h q[3];", "qubit 3 out of range"),
+        ("t q[0];", "unknown gate 't'"),
+    ):
+        with pytest.raises(QasmParseError) as err:
+            from_qasm(base + f"h q[0];\n  {stmt}\nh q[0];\n{stmt}\n")
+        assert (err.value.line, err.value.column) == (5, 3)
+        assert needle in str(err.value)
+
+
+def test_from_qasm_statement_results_depend_on_the_register():
+    # a statement that is valid after qreg still fails before it
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(QASM_HEADER + "h q[0];\nqreg q[2];\nh q[0];\n")
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert "gate before qreg declaration" in str(err.value)
+    # and one that names another register fails whatever it shares in text
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(QASM_HEADER + "qreg q[2];\nh q[0];\nh r[0];\n")
+    assert (err.value.line, err.value.column) == (5, 1)
+    assert "bad operand 'r[0]'" in str(err.value)
+
+
 DIGIT_RUNS = st.one_of(
     st.integers(0, 7).map(str),
     st.integers(4290, 4400).map(lambda k: "7" * k),

@@ -716,6 +716,28 @@ def test_recognize_pair_circuit_matches_source():
         recognize_pair_circuit(NativeCircuit(3, (*good, *u2[:2], *u1[2:])))
 
 
+def test_recognize_pair_circuit_reports_the_corrupt_copy_of_a_repeated_block(tmp_path, capsys):
+    # each distinct pair gate's block is built once per call; a repeat of it
+    # must still be checked where it stands. The XY golden repeats pair gate 0
+    # as pair gate 4, and each block is 8 native gates long, so the second
+    # copy of that block starts at native gate 32
+    golden = Path(__file__).parent / "golden" / "trotter_xy.qasm"
+    lines = golden.read_text(encoding="utf-8").splitlines()
+    circuit = recognize_pair_circuit(from_qasm("\n".join(lines)))
+    assert circuit.gates[4] == circuit.gates[0]
+    assert all(len(circuit_ir._pair_gate_native(g)) == 8 for g in circuit.gates[:4])
+    head = 3  # OPENQASM, include and qreg come before native gate 0
+    last = head + 32 + 7  # the closing sandwich gate of the second copy
+    assert lines[last] == lines[head + 7] == "rx(1.5707963267948966) q[1];"
+    lines[last] = "rz(1.5707963267948966) q[1];"
+    with pytest.raises(ValueError, match="unrecognized gate structure at native gate 32;"):
+        recognize_pair_circuit(from_qasm("\n".join(lines)))
+    corrupt = tmp_path / "corrupt.qasm"
+    corrupt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["compress", str(corrupt), "--qasm-out", str(tmp_path / "out.qasm")]) == 2
+    assert "at native gate 32;" in capsys.readouterr().err
+
+
 def test_compress_rejects_a_qreg_longer_than_any_job(tmp_path, capsys):
     # a job config allows at most MAX_PAIR_GATES + 1 spins (one step); a
     # longer qreg exits 2 before any per-qubit slot is allocated
