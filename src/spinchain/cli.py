@@ -94,7 +94,7 @@ def _parse_couplings(data: dict) -> CouplingParams:
 def load_config(path: Path) -> JobConfig:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")

@@ -1,10 +1,12 @@
 """Rewrite engine for alternating-layer circuits of R(gamma, delta) gates.
 
-Two rewrites preserve the circuit unitary up to global phase: merging two
-same-pair gates by parameter addition and the three-gate bridge move. The
-absorption loop combines them so that any number of alternating layers
-collapses into a block of at most N(N-1)/2 gates laid out on an N-slot
-alternating template.
+Two rewrites preserve the circuit unitary up to global phase, and both live
+in _WordEngine. A merge folds a gate into a letter on the same pair by
+adding its (gamma, delta) to the letter's, wrapped into (-pi, pi]: same-pair
+gates of one family commute and their exponents add. The bridge move is the
+three-gate identity that ybe.solve solves. The absorption loop combines
+them so that any number of alternating layers collapses into a block of at
+most N(N-1)/2 gates laid out on an N-slot alternating template.
 
 Internally a circuit is tracked as a word of letters [pair, gamma, delta]
 together with the permutation its pair swaps generate. A new gate either
@@ -89,22 +91,6 @@ class CompressedBlock:
     def alternating_layers(self) -> int:
         used = sum(1 for s in self.slots if s)
         return (used + 1) // 2
-
-
-def merge(a: PairGate, b: PairGate) -> PairGate:
-    """Combine two same-pair gates into one by componentwise parameter addition.
-
-    Valid because same-pair propagators of one family commute and their
-    exponents add exactly.
-    """
-    if a.pair != b.pair:
-        raise ValueError(f"cannot merge gates on pairs {a.pair} and {b.pair}")
-    if type(a.params) is not type(b.params):
-        raise ValueError("cannot merge gates with different parameter kinds")
-    if a.conjugation != b.conjugation:
-        raise ValueError("cannot merge gates with different conjugation tags")
-    sums = (x + y for x, y in zip(a.params.as_tuple(), b.params.as_tuple()))
-    return PairGate(a.pair, type(a.params)(*sums), a.conjugation)
 
 
 class _WordEngine:

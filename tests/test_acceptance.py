@@ -19,17 +19,18 @@ from spinchain.circuit_ir import (
     to_qasm,
     unitary_of,
 )
-from spinchain.compressor import absorb_layer, compress, empty_block, merge, pad_to_template
+from spinchain.compressor import compress, pad_to_template
 from spinchain.propagators import RGateParams, decompose_xyz, xyz_propagator
 from spinchain.simulator import (
     NoiseModel,
     apply_circuit,
+    compressed_steps,
     neel_state,
     run_dynamics,
     run_noisy,
     staggered_magnetization,
 )
-from spinchain.spin_model import Angles3, CouplingParams, TrotterPlan, classify
+from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
 from spinchain.ybe import solve, verify_relations
 
 SEED = 20250301
@@ -153,26 +154,49 @@ def test_criterion_2_bridge_solver():
 
 def test_criterion_3_merge_identity():
     matrix_tol = 1e-12
+    # (a) same-pair gates commute, so their three-axis exponents add
     rng = np.random.default_rng(SEED + 2)
-    exact = True
-    worst_matrix = 0.0
+    worst_identity = 0.0
     for _ in range(1000):
         a = PairGate(0, Angles3(*rng.uniform(-1.5, 1.5, 3)))
         b = PairGate(0, Angles3(*rng.uniform(-1.5, 1.5, 3)))
-        m = merge(a, b)
-        exact = exact and m.params == Angles3(
-            a.params.theta_x + b.params.theta_x,
-            a.params.theta_y + b.params.theta_y,
-            a.params.theta_z + b.params.theta_z,
+        m = PairGate(0, Angles3(*(x + y for x, y in zip(a.params.as_tuple(), b.params.as_tuple()))))
+        worst_identity = max(worst_identity, np.max(np.abs(b.unitary() @ a.unitary() - m.unitary())))
+    # (b) the engine's merge: three gates of one family on one pair compress
+    # to one gate through two merges, each adding the angles and wrapping the
+    # sum. A pair merges once and its one sum is wrapped again on emission,
+    # so it cannot tell a merge that wraps from one that does not.
+    rng = np.random.default_rng(SEED + 4)
+    families = list(CLASS_COUPLINGS)
+
+    def wrap(x):
+        return (x + np.pi) % (2 * np.pi) - np.pi
+
+    mismatches = 0
+    worst_engine = 0.0
+    for k in range(1000):
+        name = families[k % len(families)]
+        run = [
+            PairGate(0, Angles3(*(rng.uniform(-1.5, 1.5) if axis in name.lower() else 0.0 for axis in "xyz")))
+            for _ in range(3)
+        ]
+        block = compress(Circuit(2, tuple(run)))
+        (g,) = block.circuit.gates
+        want = [wrap(wrap(x + y) + z) for x, y, z in zip(*(h.params.as_tuple() for h in run))]
+        mismatches += not (
+            block.ybe_moves == 0
+            and g.conjugation == HamiltonianClass(name).family.conjugation
+            and [t.hex() for t in g.angles().as_tuple()] == [t.hex() for t in want]
         )
-        worst_matrix = max(
-            worst_matrix, np.max(np.abs(b.unitary() @ a.unitary() - m.unitary()))
-        )
-    ok = exact and worst_matrix < matrix_tol
+        product = run[2].unitary() @ run[1].unitary() @ run[0].unitary()
+        worst_engine = max(worst_engine, np.max(np.abs(product - g.unitary())))
+    ok = worst_identity < matrix_tol and mismatches == 0 and worst_engine < matrix_tol
     report(
         "criterion 3 merge identity",
         ok,
-        f"1000 pairs, componentwise addition exact, matrix {worst_matrix:.2e} < {matrix_tol:g}",
+        f"1000 pairs, summed angles' matrix {worst_identity:.2e} < {matrix_tol:g}; "
+        f"1000 same-pair runs of 3 gates through compress, {mismatches} gates off the "
+        f"wrapped sums bit for bit, matrix {worst_engine:.2e} < {matrix_tol:g}",
     )
 
 
@@ -292,13 +316,8 @@ def test_criterion_6_noiseless_reproduction():
     compressed = run_dynamics(n, j, plan, "compressed")
     start_exact = trotter.rows[0][2] == 1.0 and compressed.rows[0][2] == 1.0
     diff = float(np.max(np.abs(trotter.values() - compressed.values())))
-    # per-step block size on the alternating template
-    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-    block = empty_block(n, classify(j))
-    sizes = set()
-    for _ in range(plan.num_steps):
-        block = absorb_layer(block, list(step.gates))
-        sizes.add(pad_to_template(block).gate_count)
+    # per-step block size on the alternating template, from the stream evolve runs
+    sizes = {pad_to_template(block).gate_count for block in compressed_steps(n, j, plan)}
     ok = start_exact and diff < pointwise_tol and sizes == {3}
     report(
         "criterion 6 noiseless reproduction",
@@ -313,10 +332,7 @@ def test_criterion_7_noise_contrast():
     plan = TrotterPlan(2.5, 0.025)
     noise = NoiseModel(0.0, 1e-2, 8192, 7)
     deep = build_trotter_circuit(n, j, plan)
-    block = empty_block(n, classify(j))
-    step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-    for _ in range(plan.num_steps):
-        block = absorb_layer(block, list(step.gates))
+    *_, block = compressed_steps(n, j, plan)
     shallow = pad_to_template(block).circuit
     psi0 = neel_state(n)
     ideal_deep = staggered_magnetization(apply_circuit(psi0, deep))

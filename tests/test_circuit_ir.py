@@ -490,20 +490,26 @@ QASM_WORDS = st.sampled_from(
 
 @st.composite
 def qasm_like_texts(draw):
-    # statements with drawn holes, raw fragments and arbitrary text, joined
+    # statements with drawn holes, raw fragments and arbitrary text, joined;
+    # most draws open with the header, a valid qreg and a few gates, so about
+    # half of them reach gate building
     idx = DIGIT_RUNS
     angle = st.one_of(st.floats().map(repr), st.sampled_from(("pi", "-pi", "")), DIGIT_RUNS, st.text(max_size=4))
-    piece = st.one_of(
-        idx.map(lambda i: f"qreg q[{i}];\n"),
+    gate = st.one_of(
         st.tuples(st.sampled_from(("rx", "rz")), angle, idx).map(lambda t: f"{t[0]}({t[1]}) q[{t[2]}];\n"),
         st.tuples(st.sampled_from(("h", "s")), idx).map(lambda t: f"{t[0]} q[{t[1]}];\n"),
         st.tuples(idx, idx).map(lambda t: f"cx q[{t[0]}],q[{t[1]}];\n"),
+    )
+    piece = st.one_of(
+        idx.map(lambda i: f"qreg q[{i}];\n"),
+        gate,
         QASM_WORDS,
         DIGIT_RUNS,
         st.text(max_size=12),
     )
-    head = draw(st.sampled_from(("", QASM_HEADER)))
-    return head + "".join(draw(st.lists(piece, max_size=12)))
+    size = draw(st.integers(1, 8))
+    head = draw(st.sampled_from((QASM_HEADER + f"qreg q[{size}];\n",) * 3 + ("", QASM_HEADER)))
+    return head + "".join(draw(st.lists(gate, max_size=3)) + draw(st.lists(piece, max_size=12)))
 
 
 @given(qasm_like_texts())

@@ -587,8 +587,8 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "family, source",
     [
-        pytest.param(family, source, id=family if source == "config" else f"{family}-qasm")
-        for source in ("config", "qasm")
+        pytest.param(family, source, id=family if source == "config" else f"{family}-{source}")
+        for source in ("config", "qasm", "compressed")
         for family in ("x", "y", "z", "xy", "xz", "yz")
     ],
 )
@@ -596,14 +596,20 @@ def test_compress_output_matches_golden_bytes(family, source, tmp_path, capsys):
     # N = 5, 10 steps per coupling family; QASM text and stats line
     # (residual included) must stay byte-identical through rewrites. The
     # QASM input is the same job's Trotter circuit (evolve --mode trotter
-    # --qasm-out); recognising it yields the same compressed bytes.
+    # --qasm-out); recognising it yields the same compressed bytes. Fed its
+    # own output, compress is a byte fixed point: its 10 gates, on 3 layers,
+    # come back unchanged with no bridge move.
     qasm_out = tmp_path / "out.qasm"
-    if source == "config":
-        argv = ["--config", str(GOLDEN / f"compress_{family}.json")]
-    else:
-        argv = [str(GOLDEN / f"trotter_{family}.qasm")]
+    argv = {
+        "config": ["--config", str(GOLDEN / f"compress_{family}.json")],
+        "qasm": [str(GOLDEN / f"trotter_{family}.qasm")],
+        "compressed": [str(GOLDEN / f"compress_{family}.qasm")],
+    }[source]
     assert main(["compress", *argv, "--qasm-out", str(qasm_out)]) == 0
-    stats = (GOLDEN / f"compress_{family}.stdout").read_text(encoding="utf-8")
+    if source == "compressed":
+        stats = '{"gates_after": 10, "gates_before": 10, "layers": 3, "residual": 0.0, "ybe_moves": 0}\n'
+    else:
+        stats = (GOLDEN / f"compress_{family}.stdout").read_text(encoding="utf-8")
     assert capsys.readouterr().out == stats
     assert qasm_out.read_bytes() == (GOLDEN / f"compress_{family}.qasm").read_bytes()
 
@@ -845,6 +851,18 @@ def test_errors_exit_2(tmp_path, capsys):
     ):
         bad.write_text(text, encoding="utf-8")
         assert error_line(["verify", str(bad), str(bad)]) == f"error: {message}\n"
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for command in ("evolve", "compress"):
+        assert main([command, "--config", str(deep), "--qasm-out", str(tmp_path / "out.qasm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config {deep}: invalid JSON (maximum recursion depth")
+    assert not (tmp_path / "out.qasm").exists()
 
 
 def test_angles_beyond_the_bound_exit_2(tmp_path, capsys):

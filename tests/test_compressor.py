@@ -25,7 +25,6 @@ from spinchain.compressor import (
     absorb_layer,
     compress,
     empty_block,
-    merge,
     pad_to_template,
 )
 from spinchain.propagators import RGateParams
@@ -39,7 +38,6 @@ from spinchain.spin_model import (
 )
 from spinchain.ybe import solve, wrap_angle
 
-TRIALS = 100
 TOL = 1e-12
 PHASE_TOL = 1e-7
 SEED = 1632
@@ -57,40 +55,6 @@ def random_xy_layers(rng, n, num_layers):
         for p in range(start, n - 1, 2):
             gates.append(PairGate(p, Angles3(*rng.uniform(-0.8, 0.8, 2), 0.0)))
     return Circuit(n, tuple(gates))
-
-
-def test_merge_adds_componentwise():
-    # exact float addition, no rounding beyond the sums themselves
-    a = PairGate(1, Angles3(0.1, 0.2, 0.3))
-    b = PairGate(1, Angles3(0.4, -0.2, 0.05))
-    m = merge(a, b)
-    assert m.params == Angles3(0.1 + 0.4, 0.2 + -0.2, 0.3 + 0.05)
-    ra = PairGate(0, RGateParams(0.3, -0.1), "u2")
-    rb = PairGate(0, RGateParams(0.2, 0.4), "u2")
-    rm = merge(ra, rb)
-    assert rm.params == RGateParams(0.3 + 0.2, -0.1 + 0.4)
-    assert rm.conjugation == "u2"
-
-
-def test_merge_matches_matrix_product():
-    rng = np.random.default_rng(SEED)
-    for _ in range(TRIALS):
-        a = PairGate(0, Angles3(*rng.uniform(-1.0, 1.0, 3)))
-        b = PairGate(0, Angles3(*rng.uniform(-1.0, 1.0, 3)))
-        m = merge(a, b)
-        assert np.max(np.abs(b.unitary() @ a.unitary() - m.unitary())) < TOL
-
-
-def test_merge_rejects_mismatched_gates():
-    with pytest.raises(ValueError):
-        merge(PairGate(0, Angles3(0.1, 0.0, 0.0)), PairGate(1, Angles3(0.1, 0.0, 0.0)))
-    with pytest.raises(ValueError):
-        merge(PairGate(0, Angles3(0.1, 0.0, 0.0)), PairGate(0, RGateParams(0.1, 0.0)))
-    with pytest.raises(ValueError):
-        merge(
-            PairGate(0, RGateParams(0.1, 0.0), "u1"),
-            PairGate(0, RGateParams(0.1, 0.0), "u2"),
-        )
 
 
 def test_empty_block_shape():
