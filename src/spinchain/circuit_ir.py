@@ -299,8 +299,9 @@ def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
             block = block_of(gate)
         if not block or gates[pos : pos + len(block)] != block:
             raise ValueError(
-                f"unrecognized gate structure at native gate {pos}; expected "
-                "the per-gate blocks produced by the QASM emitter"
+                f"unrecognized gate structure at native gate {pos}; expected the "
+                "QASM emitter's pair-gate blocks of a one- or two-axis family "
+                "(three-axis circuits cannot be compressed)"
             )
         out.append(gate)
         pos += len(block)

@@ -91,9 +91,19 @@ def _parse_couplings(data: dict) -> CouplingParams:
     raise ConfigError("config needs either 'J' or 'class'")
 
 
-def load_config(path: Path) -> JobConfig:
+def _read(path: Path) -> str:
+    """The text of an input file; a file that is not UTF-8 is an error that
+    names it."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def load_config(path: Path) -> JobConfig:
+    text = _read(path)
+    try:
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -216,7 +226,7 @@ def _cmd_compress(args) -> int:
     if (args.qasm_in is None) == (args.config is None):
         raise ConfigError("compress needs exactly one input: a QASM path or --config")
     if args.qasm_in is not None:
-        native = from_qasm(Path(args.qasm_in).read_text(encoding="utf-8"))
+        native = from_qasm(_read(Path(args.qasm_in)))
         if native.num_qubits > MAX_PAIR_GATES + 1:
             raise ConfigError(
                 f"qreg of {native.num_qubits} qubits exceeds {MAX_PAIR_GATES + 1}, "
@@ -242,8 +252,8 @@ def _cmd_compress(args) -> int:
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be positive and finite, got {args.tol!r}")
-    a = from_qasm(Path(args.circuit_a).read_text(encoding="utf-8"))
-    b = from_qasm(Path(args.circuit_b).read_text(encoding="utf-8"))
+    a = from_qasm(_read(Path(args.circuit_a)))
+    b = from_qasm(_read(Path(args.circuit_b)))
     if a.num_qubits != b.num_qubits:
         raise ConfigError(
             f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}"

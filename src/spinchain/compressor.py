@@ -44,8 +44,8 @@ class CompressedBlock:
 
     slots holds the gates of each of the N template slots; slot k holds even
     pairs when k is even, odd pairs otherwise, and circuit is the slots read
-    in order. residual is the summed verified residual of every bridge move
-    behind the block; ybe_moves counts them.
+    in order. residual is the summed rotation residual (ybe.rotation_residual)
+    of every bridge move behind the block; ybe_moves counts them.
     """
 
     slots: tuple[tuple[PairGate, ...], ...]
@@ -102,18 +102,15 @@ class _WordEngine:
     descends the triangle (_fall).
     """
 
-    def __init__(self, block: CompressedBlock) -> None:
-        n = block.num_qubits
-        self.klass = block.klass
+    def __init__(self, n: int, klass: HamiltonianClass) -> None:
+        self.klass = klass
+        self.conj = klass.family.conjugation
         self.perm = list(range(n))
         self.word: list[list] = []
-        self.residual = block.residual
-        self.moves = block.ybe_moves
+        self.residual = 0.0
+        self.moves = 0
         self.full = n * (n - 1) // 2
         self.triangle = False
-        for g in block.circuit.gates:
-            if not self._ascend(g.pair, g.params.gamma, g.params.delta):
-                raise ValueError("block word is not reduced; cannot reload")
 
     def _ascend(self, j: int, gamma: float, delta: float) -> bool:
         if self.perm[j] > self.perm[j + 1]:
@@ -210,9 +207,8 @@ class _WordEngine:
         twin.word = [list(letter) for letter in self.word]
         slots = _peel_template(self.perm)
         twin._respell([j for s in slots for j in reversed(s)])
-        conj = self.klass.family.conjugation
         gates = (
-            PairGate(j, RGateParams(wrap_angle(gamma), wrap_angle(delta)), conj)
+            PairGate(j, RGateParams(wrap_angle(gamma), wrap_angle(delta)), self.conj)
             for j, gamma, delta in twin.word
         )
         return CompressedBlock(
@@ -248,28 +244,25 @@ def _r_form_gate(g: PairGate, klass: HamiltonianClass) -> tuple[float, float]:
     return klass.family.r_params(a)
 
 
-def empty_block(n: int, klass: HamiltonianClass) -> CompressedBlock:
-    """The identity block: no gates, all template slots free."""
-    return CompressedBlock(((),) * n, klass, 0.0, 0)
-
-
-def absorb_layer(block: CompressedBlock, gates: Sequence[PairGate]) -> CompressedBlock:
-    """Fold gates, a time-ordered list sharing the block's class, into the
-    block: the block is reloaded into an engine, the gates are absorbed in
-    the order given and the result is emitted onto the template."""
-    return next(absorb_steps(block, gates, 1))
+def absorb_layer(engine: _WordEngine, gates: Sequence[PairGate]) -> CompressedBlock:
+    """Fold gates, a time-ordered list of the engine's class, into the
+    engine's word in the order given, and emit the block so far onto the
+    template."""
+    for g in gates:
+        engine.absorb(g)
+    return engine.block()
 
 
 def absorb_steps(
-    block: CompressedBlock, step: Sequence[PairGate], num_steps: int
+    n: int, klass: HamiltonianClass, step: Sequence[PairGate], num_steps: int
 ) -> Iterator[CompressedBlock]:
     """The block after each of num_steps absorptions of step, from one engine
-    session: each block is emitted from a copy, so the word is never reloaded."""
-    eng = _WordEngine(block)
+    session that starts empty: each block is emitted from a copy, so
+    absorption goes on. Raises UnsupportedClassError for a three-axis class
+    before any gate is absorbed."""
+    engine = _WordEngine(n, klass)
     for _ in range(num_steps):
-        for g in step:
-            eng.absorb(g)
-        yield eng.block()
+        yield absorb_layer(engine, step)
 
 
 def detect_class(c: Circuit) -> HamiltonianClass:
@@ -288,7 +281,7 @@ def compress(c: Circuit) -> CompressedBlock:
     layers went in. Raises UnsupportedClassError for three-axis gate sets
     and propagates UnsolvedError from the bridge solver.
     """
-    return absorb_layer(empty_block(c.num_qubits, detect_class(c)), c.gates)
+    return next(absorb_steps(c.num_qubits, detect_class(c), c.gates, 1))
 
 
 def pad_to_template(block: CompressedBlock) -> CompressedBlock:

@@ -20,7 +20,7 @@ from .circuit_ir import (
     local_ops,
     to_native,
 )
-from .compressor import CompressedBlock, absorb_steps, detect_class, empty_block, pad_to_template
+from .compressor import CompressedBlock, absorb_steps, detect_class, pad_to_template
 from .spin_model import CouplingParams, TrotterPlan
 
 MODES = ("exact", "trotter", "compressed")
@@ -206,9 +206,10 @@ def _trotter_series(step, num_steps, init):
 def compressed_steps(n: int, j: CouplingParams, plan: TrotterPlan) -> Iterator[CompressedBlock]:
     """The unpadded compressed block after each of plan's steps, step 1 first,
     from one engine session; the last is compress's block of the whole Trotter
-    circuit. Raises UnsupportedClassError for three-axis couplings."""
+    circuit. For three-axis couplings the first step raises
+    UnsupportedClassError."""
     step = build_trotter_circuit(n, j, TrotterPlan(plan.dt, plan.dt))
-    return absorb_steps(empty_block(n, detect_class(step)), step.gates, plan.num_steps)
+    return absorb_steps(n, detect_class(step), step.gates, plan.num_steps)
 
 
 def run_dynamics(

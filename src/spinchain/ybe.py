@@ -2,22 +2,20 @@
 
 Three R gates laid out on three chain sites in the bridge pattern
 (outer pair, inner pair, outer pair) equal another triple in the mirrored
-pattern whenever sixteen trigonometric relations hold between the two
-parameter sets. This module solves for the mirrored parameters in closed
-form, one candidate per triple, and verifies it twice: by the relations,
-which fix the triple's unitary, and by its 6x6 Majorana rotation, which
-fixes the unitary up to sign. Both checks are scalar arithmetic; no 8x8
-unitary is built. A mirror always exists (see solve), so the closed form
-fails only where an angle has lost its precision. A triple is three plain
-(gamma, delta) pairs: solve reads its argument in the left layout and
-returns the right-layout mirror, and verify_relations takes the left
-triple first.
+pattern with new parameters. This module solves for the mirrored parameters
+in closed form, one candidate per triple, and verifies it by its 6x6
+Majorana rotation, which fixes the triple's unitary up to sign: a sign on
+one move is a global phase of the whole circuit. The check is scalar
+arithmetic; no 8x8 unitary is built. A mirror always exists (see solve), so
+the closed form fails only where an angle has lost its precision. A triple
+is three plain (gamma, delta) pairs: solve reads its argument in the left
+layout and returns the right-layout mirror, and rotation_residual takes
+the left triple first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,41 +45,13 @@ class YbeSolution(NamedTuple):
     method: str
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Largest magnitude of the sixteen relations, and the Frobenius distance
-    between the two triples' 6x6 Majorana rotations (matrix_residual)."""
-
-    max_relation: float
-    matrix_residual: float
-
-    @property
-    def residual(self) -> float:
-        return max(self.max_relation, self.matrix_residual)
-
-    @property
-    def worst_check(self) -> str:
-        """The check that sets the residual."""
-        if self.matrix_residual > self.max_relation:
-            return "6x6 rotation identity"
-        return "sixteen relations"
-
-
 class UnsolvedError(Exception):
-    """The closed form's candidate missed the solver tolerance; carries its report.
+    """The closed form's candidate missed the solver tolerance; carries its
+    rotation residual as best_residual."""
 
-    The message gives its verified residual and names the check it failed:
-    the sixteen relations or the 6x6 rotation identity.
-    """
-
-    def __init__(self, report: RelationReport) -> None:
-        super().__init__(
-            f"no solution below tolerance {SOLVER_TOL:g}; best residual {report.residual:.3e}"
-            f" fails the {report.worst_check} (relations {report.max_relation:.3e},"
-            f" 6x6 rotation {report.matrix_residual:.3e})"
-        )
-        self.best_residual = report.residual
-        self.report = report
+    def __init__(self, residual: float) -> None:
+        super().__init__(f"no solution below tolerance {SOLVER_TOL:g}; best residual {residual:.3e}")
+        self.best_residual = residual
 
 
 def wrap_angle(x: float) -> float:
@@ -92,40 +62,6 @@ def wrap_angle(x: float) -> float:
     """
     y = (float(x) + math.pi) % _TWO_PI - math.pi
     return math.pi if abs(y + math.pi) <= _WRAP_SNAP_TOL else y
-
-
-def relations(left, right) -> list[float]:
-    """The sixteen product relations; all vanish iff the matrix identity holds.
-
-    left is a left-layout and right a right-layout triple of (gamma, delta)
-    pairs. Each row is a product of four sines and cosines of the left
-    triple minus one of the right; for left ((g1, d1), (g2, d2), (g3, d3))
-    the factors are of g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3 and d2, and
-    likewise for right, whose names carry an r.
-    """
-    (g1, d1), (g2, d2), (g3, d3) = left
-    (g4, d4), (g5, d5), (g6, d6) = right
-    a = (g2, g1 + g3, g1 - g3, d1 + d3, d1 - d3, d2, g5, g4 + g6, g4 - g6, d4 + d6, d4 - d6, d5)
-    sg, sgp, sgm, sdp, sdm, sd, rsg, rsgp, rsgm, rsdp, rsdm, rsd = np.sin(a).tolist()
-    cg, cgp, cgm, cdp, cdm, cd, rcg, rcgp, rcgm, rcdp, rcdm, rcd = np.cos(a).tolist()
-    return [
-        sg * cgm * cdm * sd - rcg * rsgp * rsdp * rcd,
-        cg * cgm * cdp * sd - rcg * rcgp * rsdp * rcd,
-        -sg * cgp * sdm * cd - rcg * rsgm * rcdp * rsd,
-        cg * cgp * sdp * cd - rcg * rcgm * rcdp * rsd,
-        sg * cgp * cdm * cd - rcg * rsgp * rcdp * rcd,
-        cg * cgp * cdp * cd - rcg * rcgp * rcdp * rcd,
-        -sg * cgm * sdm * sd - rcg * rsgm * rsdp * rsd,
-        cg * cgm * sdp * sd - rcg * rcgm * rsdp * rsd,
-        sg * sgp * cdm * cd - rsg * rsgp * rcdm * rcd,
-        cg * sgp * cdp * cd - rsg * rcgp * rcdm * rcd,
-        sg * sgm * sdm * sd - rsg * rsgm * rsdm * rsd,
-        -cg * sgm * sdp * sd - rsg * rcgm * rsdm * rsd,
-        -sg * sgm * cdm * sd - rsg * rsgp * rsdm * rcd,
-        -cg * sgm * cdp * sd - rsg * rcgp * rsdm * rcd,
-        -sg * sgp * sdm * cd - rsg * rsgm * rcdm * rsd,
-        cg * sgp * sdp * cd - rsg * rcgm * rcdm * rsd,
-    ]
 
 
 # The Majorana rotation of a triple (Jozsa and Miyake, Proc. R. Soc. A 464,
@@ -162,22 +98,23 @@ def _rotation(t: AngleTriple, right: bool = False) -> tuple[float, ...]:
     return _euler(2 * g1, -2 * d2, 2 * g3)[::-1] + _euler(-2 * d1, 2 * g2, -2 * d3)[::-1]
 
 
-def verify_relations(left: AngleTriple, right: AngleTriple) -> RelationReport:
-    """Evaluate the sixteen relations and the 6x6 rotation residual of a
-    left-layout triple against a right-layout one."""
-    rel = max(map(abs, relations(left, right)))
+def rotation_residual(left: AngleTriple, right: AngleTriple) -> float:
+    """Frobenius distance between the 6x6 rotations of a left-layout triple
+    and a right-layout one."""
     diff = [x - y for x, y in zip(_rotation(left), _rotation(right, right=True))]
-    return RelationReport(rel, math.sqrt(math.fsum(d * d for d in diff)))
+    return math.sqrt(math.fsum(d * d for d in diff))
 
 
 def _aggregates(t: AngleTriple) -> tuple[float, float, float, float, float, float]:
     """Sum/difference aggregates and middle angles of the mirrored triple.
 
-    Solves the relation system for (g4+g6, g4-g6, d4+d6, d4-d6, g5, d5)
-    using two-argument arctangents throughout; the middle-angle projections
-    reuse the aggregate branch so the six values are sign-consistent. The
-    closed form is division-free, so no denominator can vanish; acceptance
-    is gated on the verified residual alone.
+    Matches the two triples' unitaries entry by entry, each entry a product
+    of sines and cosines of g2, g1 +- g3, d1 +- d3 and d2 (and likewise on
+    the right), and solves for (g4+g6, g4-g6, d4+d6, d4-d6, g5, d5) using
+    two-argument arctangents throughout; the middle-angle projections reuse
+    the aggregate branch so the six values are sign-consistent. The closed
+    form is division-free, so no denominator can vanish; acceptance is gated
+    on the rotation residual alone.
     """
     (g1, d1), (g2, d2), (g3, d3) = t
     sin, cos = math.sin, math.cos
@@ -199,12 +136,14 @@ def _aggregates(t: AngleTriple) -> tuple[float, float, float, float, float, floa
 def solve(t: AngleTriple) -> YbeSolution:
     """Rewrite a left-layout bridge triple into the right layout with the same unitary.
 
-    The closed form gives one candidate, accepted when its verified residual
-    (rotation and all sixteen relations) is below SOLVER_TOL; otherwise
-    UnsolvedError carries its report. The same call solves right to left:
-    R(gamma, delta) is symmetric under the swap of its two qubits, so the
-    site mirror turns LEFT(a) = RIGHT(b) into RIGHT(a) = LEFT(b), and a
-    right-layout triple's pairs solve to its left-layout mirror.
+    The closed form gives one candidate, accepted when its rotation residual
+    is below SOLVER_TOL; otherwise UnsolvedError carries that residual. The
+    rotation fixes the unitary up to sign, and a sign on one move is a global
+    phase of the whole circuit, which compress, verify and m_s never see.
+    The same call solves right to left: R(gamma, delta) is symmetric under
+    the swap of its two qubits, so the site mirror turns LEFT(a) = RIGHT(b)
+    into RIGHT(a) = LEFT(b), and a right-layout triple's pairs solve to its
+    left-layout mirror.
     """
     # No search backs the closed form, because a mirror always exists: each
     # 3x3 block of a left triple's rotation is an Euler product T01 T12 T01,
@@ -219,7 +158,7 @@ def solve(t: AngleTriple) -> YbeSolution:
         (wrap_angle(g5), wrap_angle(d5)),
         (wrap_angle((p - m) / 2), wrap_angle((q - n) / 2)),
     )
-    report = verify_relations(t, out)
-    if report.residual < SOLVER_TOL:
-        return YbeSolution(out, report.residual, "analytic")
-    raise UnsolvedError(report)
+    residual = rotation_residual(t, out)
+    if residual < SOLVER_TOL:
+        return YbeSolution(out, residual, "analytic")
+    raise UnsolvedError(residual)

@@ -31,7 +31,7 @@ from spinchain.simulator import (
     staggered_magnetization,
 )
 from spinchain.spin_model import Angles3, CouplingParams, HamiltonianClass, TrotterPlan
-from spinchain.ybe import solve, verify_relations
+from spinchain.ybe import solve
 
 SEED = 20250301
 
@@ -110,9 +110,10 @@ def test_criterion_2_bridge_solver():
     for _ in range(1000):
         t = tuple(tuple(rng.uniform(-np.pi, np.pi, 2).tolist()) for _ in range(3))
         sol = solve(t)
+        # the 8x8 matrices themselves, phase included: the solver's rotation
+        # check cannot see a sign, and this does
         matrix = np.max(np.abs(triple_kron_unitary(t) - triple_kron_unitary(sol.pairs, right=True)))
-        relations = verify_relations(t, sol.pairs).max_relation
-        worst_residual = max(worst_residual, matrix, relations)
+        worst_residual = max(worst_residual, matrix)
         back = solve(sol.pairs)
         worst_round_trip = max(
             worst_round_trip,

@@ -744,6 +744,18 @@ def test_recognize_pair_circuit_reports_the_corrupt_copy_of_a_repeated_block(tmp
     assert "at native gate 32;" in capsys.readouterr().err
 
 
+def test_compress_refuses_the_emitters_three_axis_circuit(tmp_path, capsys):
+    # trotter_xyz.qasm is the emitter's own output, in 3-CX blocks, so the
+    # diagnostic must not claim it is not; it names what compress reads
+    out = tmp_path / "out.qasm"
+    assert main(["compress", str(GOLDEN / "trotter_xyz.qasm"), "--qasm-out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: unrecognized gate structure at native gate 0; expected the QASM emitter's "
+        "pair-gate blocks of a one- or two-axis family (three-axis circuits cannot be compressed)\n"
+    )
+    assert not out.exists()
+
+
 def test_compress_rejects_a_qreg_longer_than_any_job(tmp_path, capsys):
     # a job config allows at most MAX_PAIR_GATES + 1 spins (one step); a
     # longer qreg exits 2 before any per-qubit slot is allocated
@@ -862,6 +874,25 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: config {deep}: invalid JSON (maximum recursion depth")
+    assert not (tmp_path / "out.qasm").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "compress-config", "compress-qasm", "verify"])
+def test_input_that_is_not_utf8_exits_2_naming_its_path(command, tmp_path, capsys):
+    # with two verify inputs the message must say which one is bad
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b'{"spins": 3}\xff')
+    out = str(tmp_path / "out.qasm")
+    argv = {
+        "evolve": ["evolve", "--config", str(bad)],
+        "compress-config": ["compress", "--config", str(bad), "--qasm-out", out],
+        "compress-qasm": ["compress", str(bad), "--qasm-out", out],
+        "verify": ["verify", str(GOLDEN / "trotter_x.qasm"), str(bad)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff")
     assert not (tmp_path / "out.qasm").exists()
 
 

@@ -22,9 +22,8 @@ from spinchain.circuit_ir import (
 from spinchain.compressor import (
     CompressedBlock,
     _peel_template,
-    absorb_layer,
+    absorb_steps,
     compress,
-    empty_block,
     pad_to_template,
 )
 from spinchain.propagators import RGateParams
@@ -45,25 +44,6 @@ SEED = 1632
 
 def max_gate_count(n):
     return n * (n - 1) // 2
-
-
-def random_xy_layers(rng, n, num_layers):
-    # valid alternating-layer input: even pairs then odd pairs, fresh angles
-    gates = []
-    for layer in range(num_layers):
-        start = 0 if layer % 2 == 0 else 1
-        for p in range(start, n - 1, 2):
-            gates.append(PairGate(p, Angles3(*rng.uniform(-0.8, 0.8, 2), 0.0)))
-    return Circuit(n, tuple(gates))
-
-
-def test_empty_block_shape():
-    block = empty_block(4, HamiltonianClass.XY)
-    assert block.gate_count == 0
-    assert block.num_qubits == 4
-    assert block.residual == 0.0
-    assert block.ybe_moves == 0
-    assert block.klass is HamiltonianClass.XY
 
 
 def test_compress_trotter_bounds_and_unitary():
@@ -129,14 +109,15 @@ def test_compress_rejects_three_axis_class():
 
 
 def test_three_axis_couplings_raise_one_message():
-    # the family table owns the rule; compress, the compressed-step stream and
-    # the block reach it
+    # the family table owns the rule; compress, the compressed-step stream,
+    # an engine with no gate to absorb and the block reach it
     j, plan = CouplingParams(1.0, 0.8, 0.6), TrotterPlan(0.1, 0.05)
     message = "^three-axis couplings are outside the compressible families$"
     for call in (
         lambda: compress(build_trotter_circuit(3, j, plan)),
         lambda: next(compressed_steps(3, j, plan)),
-        lambda: empty_block(3, HamiltonianClass.XYZ),
+        lambda: next(absorb_steps(3, HamiltonianClass.XYZ, (), 1)),
+        lambda: CompressedBlock(((),) * 3, HamiltonianClass.XYZ, 0.0, 0),
         lambda: HamiltonianClass.XYZ.family,
     ):
         with pytest.raises(UnsupportedClassError, match=message):
@@ -150,28 +131,14 @@ def test_compress_rejects_mixed_classes():
     )
     with pytest.raises(UnsupportedClassError):
         compress(Circuit(3, gates))
-    # a block keeps its class: a gate off it is refused where it is absorbed
+    # an engine keeps its class: a gate off it is refused where it is absorbed
     with pytest.raises(ValueError, match=r"^gate with axes \['y'\] does not fit class X$"):
-        absorb_layer(empty_block(3, HamiltonianClass.X), [PairGate(0, Angles3(0.0, 0.2, 0.0))])
+        next(absorb_steps(3, HamiltonianClass.X, [PairGate(0, Angles3(0.0, 0.2, 0.0))], 1))
 
 
 def test_compress_empty_circuit():
     block = compress(Circuit(3, ()))
     assert block.gate_count == 0
-
-
-def test_absorb_layer_incremental_matches_compress():
-    rng = np.random.default_rng(SEED + 2)
-    n = 4
-    c = random_xy_layers(rng, n, 6)
-    whole = compress(c)
-    # fold fixed-size chunks of the same gate list one at a time by hand
-    for size in (1, 2, 3, 5):
-        block = empty_block(n, HamiltonianClass.XY)
-        for start in range(0, len(c.gates), size):
-            block = absorb_layer(block, c.gates[start : start + size])
-        assert block.gate_count == whole.gate_count
-        assert phase_distance(unitary_of(block.circuit), unitary_of(whole.circuit)) < 1e-9
 
 
 def test_long_merge_runs_keep_their_precision():
@@ -355,15 +322,6 @@ def test_turnovers_per_step_once_the_word_is_full():
             assert [trotter_moves(n, j, s) for s in range(1, n // 2 + 1)] == [0] * (n // 2)
             moves = [trotter_moves(n, j, s) for s in (n, n + 1, n + 2)]
             assert moves == [moves[0], moves[0] + per_step, moves[0] + 2 * per_step], (n, j)
-
-
-def test_absorb_layer_refuses_a_block_word_that_is_not_reduced():
-    # the same gate on pair 0 in slots 0 and 2, nothing between: a valid
-    # template placement whose word is not reduced, so it cannot be reloaded
-    g = PairGate(0, RGateParams(0.3, 0.2), HamiltonianClass.XZ.family.conjugation)
-    block = CompressedBlock(((g,), (), (g,)), HamiltonianClass.XZ, 0.0, 0)
-    with pytest.raises(ValueError, match="block word is not reduced; cannot reload"):
-        absorb_layer(block, [])
 
 
 def test_compressed_steps_end_on_the_compressed_circuit():
