@@ -264,35 +264,58 @@ def _gates(c: Circuit | NativeCircuit) -> list:
     return [(g.qubits, *op) for g, op in zip(native.gates, local_ops(native))]
 
 
+@functools.cache
+def _pauli_table(n: int, qubits: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, factors), each (2**n, 4**len(qubits)): Pauli index p on qubits
+    maps a state s to factors[:, p] * s[rows[:, p]], the factor 1, -1, i or -i.
+
+    Each qubit's digit is composed as one acts on a state, last qubit first:
+    Z flips the sign where the bit is 1, X then flips the bit, and Y = iXZ
+    multiplies by i after both, so each amplitude equals the Pauli matrix's.
+    """
+    r = np.arange(1 << n)
+    rows = np.empty((r.size, 4 ** len(qubits)), dtype=np.intp)
+    factors = np.empty(rows.shape, dtype=complex)
+    for p in range(rows.shape[1]):
+        src, f, digits = r, np.ones(r.size, dtype=complex), p
+        for q in reversed(qubits):
+            code, digits = digits % 4, digits // 4
+            bit = 1 << (n - 1 - q)
+            if code >= 2:
+                f = np.where(r & bit, -f, f)
+            if code in (1, 2):
+                src, f = src[r ^ bit], f[r ^ bit]
+            if code == 2:
+                f = f * 1j
+        rows[:, p], factors[:, p] = src, f
+    rows.flags.writeable = factors.flags.writeable = False
+    return rows, factors
+
+
 def _pauli_errors(states: np.ndarray, qubits: tuple, cols: np.ndarray, u: np.ndarray, n: int) -> None:
     """Apply to each of the cols of states, in place, the non-identity Pauli
     on qubits that u picks: the kron-order index, I X Y Z = 0..3 per qubit.
-
-    X flips the qubit's bit, Z the sign where it is 1, and Y = iXZ does both
-    with the exact factor i, so each amplitude equals the Pauli matrix's.
-    """
+    All cols move in one row gather from _pauli_table times its exact factor."""
     count = 4 ** len(qubits) - 1
     pauli = np.minimum((u * count).astype(int), count - 1) + 1
-    rows = np.arange(states.shape[0])
-    for q in reversed(qubits):
-        code, pauli = pauli % 4, pauli // 4
-        bit = 1 << (n - 1 - q)
-        states[np.ix_(np.flatnonzero(rows & bit), cols[code >= 2])] *= -1
-        x = cols[(code == 1) | (code == 2)]
-        states[:, x] = states[np.ix_(rows ^ bit, x)]
-        states[:, cols[code == 2]] *= 1j
+    rows, factors = _pauli_table(n, qubits)
+    states[:, cols] = factors[:, pauli] * states[rows[:, pauli], cols]
 
 
 def _noisy_gates(states: np.ndarray, gates: list, draws: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Run gates over a chunk's states, one shot per column; at gate i shot s
-    reads the uniform pair draws[s, i]: does the gate err, and with which Pauli."""
+    reads the uniform pair draws[s, i]: does the gate err, and with which Pauli.
+    Which shots err at which gate is read from the draws before any gate
+    runs, so a gate that no shot errs at costs one apply_gate alone."""
     n = states.shape[0].bit_length() - 1
-    for i, (qubits, low, mat) in enumerate(gates):
+    draws = draws[:, : len(gates)]
+    limits = np.array([noise.p2 if len(qubits) == 2 else noise.p1 for qubits, _, _ in gates])
+    hits = draws[:, :, 0] < limits
+    for i, ((qubits, low, mat), errs) in enumerate(zip(gates, hits.any(axis=0).tolist())):
         states = _dense.apply_gate(states, mat, low)
-        u = draws[:, i]
-        cols = np.flatnonzero(u[:, 0] < (noise.p2 if len(qubits) == 2 else noise.p1))
-        if cols.size:
-            _pauli_errors(states, qubits, cols, u[cols, 1], n)
+        if errs:
+            cols = np.flatnonzero(hits[:, i])
+            _pauli_errors(states, qubits, cols, draws[cols, i, 1], n)
     return states
 
 

@@ -626,10 +626,13 @@ def test_evolve_trotter_qasm_matches_golden_bytes(family, tmp_path, capsys):
     assert qasm_out.read_bytes() == (GOLDEN / f"trotter_{family}.qasm").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["evolve_all", "evolve_noisy_trotter", "evolve_noisy_compressed"])
+@pytest.mark.parametrize("name", ["evolve_all", "evolve_noisy_trotter", "evolve_noisy_compressed",
+                                  "evolve_noisy_heavy_trotter", "evolve_noisy_heavy_compressed"])
 def test_evolve_output_matches_golden_bytes(name, tmp_path, capsys):
     # N = 4, mode from the config: all three noiseless CSVs, and the
-    # noiseless plus .noisy CSV of a 64-shot trotter and compressed job
+    # noiseless plus .noisy CSV of a 64-shot trotter and compressed job; the
+    # heavy pair, N = 5 XY at p1 = 0.2 and p2 = 0.5 with 16 shots, has most
+    # gates erring in some shot, so it pins the Pauli of every error event
     assert main(["evolve", "--config", str(GOLDEN / f"{name}.json"),
                  "--out", str(tmp_path / f"{name}.csv")]) == 0
     assert capsys.readouterr() == ("", "")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spinchain import simulator
+from spinchain import _dense, simulator
 from spinchain.circuit_ir import Circuit, NativeCircuit, PairGate, build_trotter_circuit, to_native, unitary_of
 from spinchain.compressor import pad_to_template
 from spinchain.simulator import (
@@ -324,30 +324,81 @@ def test_run_dynamics_rejects_noise_under_exact():
                      noise=NoiseModel(0.1, 0.1, 4, 0))
 
 
+def kron_pauli(n, qubits, index):
+    # the non-identity Pauli of kron-order index on qubits, I X Y Z = 0..3 per
+    # qubit, as a dense 2^n x 2^n kron product, qubit 0 leftmost
+    paulis = [np.eye(2, dtype=complex), SX, SY, SZ]
+    factors = [np.eye(2, dtype=complex)] * n
+    for i, q in enumerate(qubits):
+        factors[q] = paulis[(index >> (2 * (len(qubits) - 1 - i))) & 3]
+    dense = factors[0]
+    for f in factors[1:]:
+        dense = np.kron(dense, f)
+    return dense
+
+
 @pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 1), (1, 2)])
 def test_pauli_errors_match_the_kron_pauli_matrices(qubits):
     # each non-identity Pauli, in kron order with I, X, Y, Z as digits, is a
-    # dense 8x8 matrix here; the bit and sign flips must give every amplitude,
-    # so every |amplitude|^2, exactly, and leave the unhit columns alone
+    # dense 8x8 matrix here; the row gather and its factor must give every
+    # amplitude, so every |amplitude|^2, exactly, and leave the unhit columns
+    # alone
     n = 3
-    paulis = [np.eye(2, dtype=complex), SX, SY, SZ]
+    count = 4 ** len(qubits) - 1
     rng = np.random.default_rng(SEED)
-    for index in range(1, 4 ** len(qubits)):
-        digits = [(index >> (2 * (len(qubits) - 1 - i))) & 3 for i in range(len(qubits))]
-        factors = [np.eye(2, dtype=complex)] * n
-        for q, d in zip(qubits, digits):
-            factors[q] = paulis[d]
-        dense = factors[0]
-        for f in factors[1:]:
-            dense = np.kron(dense, f)
+    for index in range(1, count + 1):
+        dense = kron_pauli(n, qubits, index)
         states = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
         expected = states.copy()
         cols = np.array([0, 2, 3])
         expected[:, cols] = dense @ states[:, cols]
-        u = np.full(cols.size, (index - 0.5) / (4 ** len(qubits) - 1))
+        u = np.full(cols.size, (index - 0.5) / count)
         simulator._pauli_errors(states, qubits, cols, u, n)
         assert np.array_equal(np.abs(states) ** 2, np.abs(expected) ** 2)
         assert np.array_equal(states, expected)
+    # one call in which every hit column draws its own Pauli, each index once,
+    # between two columns that no error hits
+    states = rng.normal(size=(8, count + 2)) + 1j * rng.normal(size=(8, count + 2))
+    expected = states.copy()
+    cols = np.arange(1, count + 1)
+    indices = rng.permutation(count) + 1
+    for col, index in zip(cols, indices):
+        expected[:, col] = kron_pauli(n, qubits, index) @ states[:, col]
+    simulator._pauli_errors(states, qubits, cols, (indices - 0.5) / count, n)
+    assert np.array_equal(states, expected)
+
+
+def noisy_gates_reference(states, gates, draws, noise):
+    # gate by gate: apply the gate, then test each shot's draw against its
+    # limit and apply the picked Pauli to that shot's column as a dense matrix
+    n = states.shape[0].bit_length() - 1
+    for i, (qubits, low, mat) in enumerate(gates):
+        states = _dense.apply_gate(states, mat, low)
+        count = 4 ** len(qubits) - 1
+        for s in range(states.shape[1]):
+            hit, u = draws[s, i]
+            if hit < (noise.p2 if len(qubits) == 2 else noise.p1):
+                index = min(int(u * count), count - 1) + 1
+                states[:, s] = kron_pauli(n, qubits, index) @ states[:, s]
+    return states
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_noisy_gates_match_the_per_gate_reference(n):
+    # errors decided from the draws before the gates run, and every hit column
+    # moved in one gather, must give each shot's state bit for bit; the draws
+    # are a view past a first step's, wider than the gate list, as in a run
+    rng = np.random.default_rng(SEED + n)
+    shots = 9
+    for j in (CouplingParams(0.9, 0.0, 0.0), CouplingParams(-0.8, -0.3, 0.0),
+              CouplingParams(0.6, 0.0, -0.3), CouplingParams(0.0, 0.5, -0.4)):
+        gates = simulator._gates(build_trotter_circuit(n, j, TrotterPlan(0.2, 0.1)))
+        draws = rng.random((shots, 3 * len(gates), 2))[:, len(gates):]
+        init = rng.normal(size=(2 ** n, shots)) + 1j * rng.normal(size=(2 ** n, shots))
+        for p1, p2 in ((0.0, 0.0), (0.05, 0.1), (1.0, 1.0)):
+            noise = NoiseModel(p1, p2, shots, 0)
+            got = simulator._noisy_gates(init.copy(), gates, draws, noise)
+            assert np.array_equal(got, noisy_gates_reference(init.copy(), gates, draws, noise)), (j, p1, p2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
