@@ -27,6 +27,13 @@ from .spin_model import classify, step_angles
 
 MAX_DENSE_QUBITS = 12
 
+# unitary_of merges fused ops into clusters of at most _CLUSTER_QUBITS adjacent
+# qubits from N = _CLUSTER_FROM on. There a 2^N x 2^N pass is bound by memory
+# traffic, and a 16x16 gate's pass costs less than two 4x4 passes; below it
+# the cluster bookkeeping costs more than the passes it saves (measured)
+_CLUSTER_QUBITS = 4
+_CLUSTER_FROM = 7
+
 # (gamma axis, delta axis) of R(gamma, delta) under each conjugation tag: the
 # axes of the tag's two-axis family
 _TAG_AXES = {
@@ -99,7 +106,9 @@ class NativeCircuit:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("need at least 1 qubit")
-        for g in self.gates:
+        # a circuit shares one gate object among its repeats, so each distinct
+        # object is checked once, the first offender first
+        for g in {id(g): g for g in self.gates}.values():
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g!r} out of range for {self.num_qubits} qubits")
 
@@ -119,17 +128,69 @@ def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit, gates applied in order.
 
     The 2^N matrix sees one apply per fused op of _fused_ops, not one per
-    gate. Each apply writes into the other of two 2^N x 2^N buffers
+    gate, and from N = _CLUSTER_FROM on one per cluster of those ops
+    (_clusters). Each apply writes into the other of two 2^N x 2^N buffers
     (apply_gate's out path), so a pass allocates nothing.
     """
     n = c.num_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {n}")
+    ops = _fused_ops(c)
+    if n >= _CLUSTER_FROM:
+        ops = _clusters(ops)
     u = np.eye(2 ** n, dtype=complex)
     spare = np.empty_like(u)
-    for low, m in _fused_ops(c):
+    for low, m in ops:
         u, spare = _dense.apply_gate(u, m, low, out=spare), u
     return u
+
+
+def _clusters(ops):
+    """The (lowest qubit, matrix) ops merged greedily into clusters of at most
+    _CLUSTER_QUBITS adjacent qubits.
+
+    Open clusters act on disjoint qubits. An op merges with the open clusters
+    it overlaps while their union spans at most _CLUSTER_QUBITS qubits;
+    otherwise those clusters are emitted and the op opens a cluster of its
+    own. Merged disjoint clusters commute, so their members go in order of
+    their lowest qubit, and a column given in another order meets the same
+    cluster. A one-member cluster is emitted as it came.
+
+    A Trotter circuit repeats a few distinct clusters on every pair, so each
+    is built once per call, on an identity of its size, and keyed by each
+    member's offset and matrix identity. The cache holds the members, so
+    no key's identities can be reused by another matrix during the call.
+    """
+    open_: dict[int, tuple[int, list]] = {}  # lowest qubit -> (highest qubit, members)
+    built: dict[tuple, tuple] = {}
+
+    def close(lo: int, hi: int, members: list) -> tuple[int, np.ndarray]:
+        if len(members) == 1:
+            return members[0]
+        key = tuple((low - lo, id(m)) for low, m in members)
+        if key not in built:
+            u = np.eye(2 ** (hi - lo + 1), dtype=complex)
+            spare = np.empty_like(u)
+            for low, m in members:
+                u, spare = _dense.apply_gate(u, m, low - lo, out=spare), u
+            built[key] = u, members
+        return lo, built[key][0]
+
+    for low, m in ops:
+        high = low + len(m).bit_length() - 2  # a 2^k x 2^k op acts on k qubits
+        hit = sorted(lo for lo, (hi, _) in open_.items() if lo <= high and hi >= low)
+        lo = min([low, *hit])
+        hi = max([high, *(open_[h][0] for h in hit)])
+        if hi - lo < _CLUSTER_QUBITS:
+            members = [op for h in hit for op in open_.pop(h)[1]]
+            members.append((low, m))
+            open_[lo] = hi, members
+        else:
+            for h in hit:
+                yield close(h, *open_.pop(h))
+            open_[low] = high, [(low, m)]
+    for lo, (hi, members) in open_.items():
+        yield close(lo, hi, members)
 
 
 def local_ops(c: Circuit | NativeCircuit):
@@ -151,8 +212,8 @@ def _on_local(m: np.ndarray, local: int, block: np.ndarray) -> np.ndarray:
     return (m @ block.reshape(2, 2, 4)).reshape(4, 4)
 
 
-def _descriptors(c: Circuit | NativeCircuit):
-    """(lowest qubit, is two-qubit, descriptor) per gate.
+def _describe(g: PairGate | NativeGate) -> tuple:
+    """(lowest qubit, is two-qubit, descriptor) of one gate.
 
     The descriptor names the gate's matrix apart from its position: (kind,
     angle) for a single-qubit gate, ("cx", control is the lower qubit) for a
@@ -160,16 +221,21 @@ def _descriptors(c: Circuit | NativeCircuit):
     and -0.0 == 0.0, so a descriptor also carries each angle's sign: rz(-0.0)
     and rz(0.0) differ in the sign of a zero entry.
     """
-    for g in c.gates:
-        if isinstance(g, PairGate):
-            signs = tuple(math.copysign(1.0, a) for a in g.params.as_tuple())
-            yield g.pair, True, (g.params, g.conjugation, signs)
-        elif g.kind == "cx":
-            yield min(g.qubits), True, ("cx", g.qubits[0] < g.qubits[1])
-        elif g.angle is None:
-            yield g.qubits[0], False, (g.kind, None)
-        else:
-            yield g.qubits[0], False, (g.kind, g.angle, math.copysign(1.0, g.angle))
+    if isinstance(g, PairGate):
+        signs = tuple(math.copysign(1.0, a) for a in g.params.as_tuple())
+        return g.pair, True, (g.params, g.conjugation, signs)
+    if g.kind == "cx":
+        return min(g.qubits), True, ("cx", g.qubits[0] < g.qubits[1])
+    if g.angle is None:
+        return g.qubits[0], False, (g.kind, None)
+    return g.qubits[0], False, (g.kind, g.angle, math.copysign(1.0, g.angle))
+
+
+def _descriptors(c: Circuit | NativeCircuit):
+    """_describe per gate. A circuit shares one gate object among its
+    repeats, so each distinct object is described once per call."""
+    described = {key: _describe(g) for key, g in {id(g): g for g in c.gates}.items()}
+    return map(described.__getitem__, map(id, c.gates))
 
 
 def _matrix(d: tuple) -> np.ndarray:
@@ -311,17 +377,24 @@ def recognize_pair_circuit(native: NativeCircuit) -> Circuit:
 QASM_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 
+def _qasm_line(g: NativeGate) -> str:
+    if g.kind == "cx":
+        return f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];"
+    if g.kind in ("rx", "rz"):
+        return f"{g.kind}({g.angle:.17g}) q[{g.qubits[0]}];"
+    return f"{g.kind} q[{g.qubits[0]}];"
+
+
 def to_qasm(c: Circuit | NativeCircuit) -> str:
-    """Serialize to the OpenQASM 2.0 subset {rx, rz, h, s, cx}."""
+    """Serialize to the OpenQASM 2.0 subset {rx, rz, h, s, cx}.
+
+    to_native and from_qasm share one gate object among a gate's repeats, so
+    each distinct object's line is formatted once per call.
+    """
     native = to_native(c) if isinstance(c, Circuit) else c
+    line = {key: _qasm_line(g) for key, g in {id(g): g for g in native.gates}.items()}
     lines = [QASM_HEADER + f"qreg q[{native.num_qubits}];"]
-    for g in native.gates:
-        if g.kind == "cx":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.kind in ("rx", "rz"):
-            lines.append(f"{g.kind}({g.angle:.17g}) q[{g.qubits[0]}];")
-        else:
-            lines.append(f"{g.kind} q[{g.qubits[0]}];")
+    lines.extend([line[id(g)] for g in native.gates])
     return "\n".join(lines) + "\n"
 
 
@@ -377,20 +450,25 @@ def from_qasm(text: str) -> NativeCircuit:
     The gate set is {rx, rz, h, s, cx}; anything else is rejected with the
     offending line and column.
 
-    A Trotter circuit repeats a few distinct statements once per step, so
-    each distinct gate statement is parsed once per call: its stripped text
-    maps to its gate in a dict local to the call. Once the one qreg is read, a
-    gate statement's gate depends only on its text, and only statements that
-    parse and build without error are stored, so every error is still raised
-    at its first occurrence.
+    A Trotter circuit repeats a few distinct lines once per step, so each
+    distinct line is parsed once per call: the raw line maps to its tuple of
+    gates in a dict local to the call. Once the one qreg is read, a gate
+    statement's gate depends only on its text, a header statement reads the
+    same each time and a qreg statement is an error. So only lines read after
+    the qreg that parse and build without error are stored, and every error,
+    a repeated qreg line included, is still raised at its first occurrence.
     """
     num_qubits: int | None = None
     reg_name: str | None = None
     gates: list[NativeGate] = []
-    parsed: dict[str, NativeGate] = {}
+    lines: dict[str, tuple[NativeGate, ...]] = {}
     saw_version = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (line_gates := lines.get(raw)) is not None:
+            gates.extend(line_gates)
+            continue
+        first, after_qreg = len(gates), num_qubits is not None
         code = raw.split("//", 1)[0]
         *stmts, tail = code.split(";")
         if tail.strip():
@@ -399,9 +477,6 @@ def from_qasm(text: str) -> NativeCircuit:
         for stmt in stmts:
             start, pos = pos, pos + len(stmt) + 1
             s = stmt.strip()
-            if (gate := parsed.get(s)) is not None:
-                gates.append(gate)
-                continue
             if not s:
                 continue
             col = start + len(stmt) - len(stmt.lstrip()) + 1
@@ -445,7 +520,8 @@ def from_qasm(text: str) -> NativeCircuit:
             except ValueError as exc:
                 raise QasmParseError(lineno, col, str(exc)) from exc
             gates.append(gate)
-            parsed[s] = gate
+        if after_qreg:
+            lines[raw] = tuple(gates[first:])
 
     if not saw_version:
         raise QasmParseError(1, 1, "missing OPENQASM 2.0 header")

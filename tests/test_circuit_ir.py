@@ -1,6 +1,8 @@
 """Circuit containers, Trotter construction, native expansion, QASM."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from spinchain.circuit_ir import (
     QASM_HEADER,
     PairGate,
     QasmParseError,
+    _clusters,
     _fused_ops,
     _on_local,
     build_trotter_circuit,
@@ -30,6 +33,7 @@ TRIALS = 60
 TOL = 1e-12
 PHASE_TOL = 1e-10
 SEED = 424242
+GOLDEN = Path(__file__).parent / "golden"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -100,6 +104,18 @@ def test_native_circuit_requires_adjacent_cx():
         NativeGate("cx", (0, 1), 0.5)
     with pytest.raises(ValueError, match=r"^gate .* out of range for 2 qubits$"):
         NativeCircuit(2, (NativeGate("h", (2,)),))
+
+
+def test_native_circuit_checks_each_repeated_gate_object():
+    # each distinct gate object is checked once: a shared one that is out of
+    # range still fails, and the first offender is the one named
+    inside, outside = NativeGate("h", (0,)), NativeGate("rz", (3,), 0.5)
+    for gates in ((inside, outside, inside, outside), (outside, inside, outside)):
+        with pytest.raises(ValueError, match=r"^gate .*qubits=\(3,\).* out of range for 2 qubits$"):
+            NativeCircuit(2, gates)
+    with pytest.raises(ValueError, match=r"qubits=\(2,\)"):
+        NativeCircuit(2, (inside, NativeGate("h", (2,)), outside, inside))
+    assert NativeCircuit(2, (inside,) * 3).gates == (inside,) * 3
 
 
 def test_build_trotter_structure():
@@ -283,6 +299,50 @@ def test_fusion_keeps_blocks_apart_that_differ_only_in_direction_or_qubit():
     assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
 
 
+CLUSTER_COUPLINGS = (
+    CouplingParams(0.7, 0.0, 0.0),
+    CouplingParams(-0.8, -0.3, 0.0),
+    CouplingParams(0.0, 0.4, -0.9),
+    CouplingParams(0.3, -0.6, 0.9),
+)
+
+
+def test_unitary_of_clusters_trotter_circuits_like_the_kron_oracle():
+    # from N = 7 the fused ops merge into clusters of up to 4 qubits; half the
+    # circuits list each layer's pair gates in a shuffled order, as a
+    # column-reordered copy of a Trotter circuit does
+    rng = np.random.default_rng(SEED + 7)
+    for trial in range(6):
+        n = 7 + trial % 3
+        j = CLUSTER_COUPLINGS[int(rng.integers(len(CLUSTER_COUPLINGS)))]
+        steps = int(rng.integers(1, 4 if n < 9 else 2))
+        gates = build_trotter_circuit(n, j, TrotterPlan(0.1 * steps, 0.1)).gates
+        if trial % 2:
+            starts = np.cumsum([0] + [n // 2, (n - 1) // 2] * steps)  # the layers' bounds
+            gates = tuple(gates[a + i] for a, b in zip(starts, starts[1:]) for i in rng.permutation(b - a))
+        c = to_native(Circuit(n, gates))
+        assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+        assert max(len(m) for _, m in _clusters(_fused_ops(c))) in (8, 16)
+
+
+def test_clusters_keep_apart_blocks_that_differ_only_in_direction_or_qubit():
+    # the fused blocks on pairs 0, 1 and on pairs 3, 4 close into two 8x8
+    # clusters at the same member offsets. The second one's block on pair 4
+    # has the first one's gates but for the cx direction or the qubit of the
+    # rotation after the cx, so a cluster key that cannot see its members'
+    # matrices hands it the first cluster's matrix
+    block = [("cx", 0, None), ("rx", 1, 0.5), ("rz", 0, 0.3)]
+    reversed_cx = [("cx", 1, None), ("rx", 1, 0.5), ("rz", 0, 0.3)]
+    other_qubit = [("cx", 0, None), ("rx", 0, 0.5), ("rz", 0, 0.3)]
+    for variant in (reversed_cx, other_qubit):
+        c = NativeCircuit(7, tuple(
+            stamp(block, 0) + stamp(block, 1) + stamp(block, 3) + stamp(variant, 4)
+            + stamp(block, 2) + stamp(block, 5)
+        ))
+        assert [(low, len(m)) for low, m in _clusters(_fused_ops(c))][:2] == [(0, 8), (3, 8)]
+        assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+
+
 def test_to_native_preserves_unitary():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(TRIALS // 2):
@@ -442,8 +502,8 @@ def test_from_qasm_rejects_indices_beyond_the_int_digit_limit():
 
 
 def test_from_qasm_reads_repeated_statements_in_place():
-    # each distinct statement is parsed once per call; a repeat still gives
-    # its gate where it stands
+    # each distinct line is parsed once per call; a repeat still gives its
+    # gate where it stands
     native = to_native(build_trotter_circuit(4, CouplingParams(0.5, -0.3, 0.2), TrotterPlan(0.2, 0.1)))
     qreg, *body = to_qasm(native).splitlines()[2:]
     doubled = QASM_HEADER + qreg + "\n" + "".join(f"{line}\n{line}\n" for line in body)
@@ -475,6 +535,55 @@ def test_from_qasm_statement_results_depend_on_the_register():
         from_qasm(QASM_HEADER + "qreg q[2];\nh q[0];\nh r[0];\n")
     assert (err.value.line, err.value.column) == (5, 1)
     assert "bad operand 'r[0]'" in str(err.value)
+
+
+def test_from_qasm_refuses_a_repeated_qreg_line_at_the_second():
+    # a line is stored for reuse only when read after the qreg, so the qreg
+    # line itself never is
+    text = QASM_HEADER + "qreg q[2];\nh q[0];\nqreg q[2];\nh q[0];\n"
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(text)
+    assert (err.value.line, err.value.column) == (5, 1)
+    assert "multiple qreg declarations" in str(err.value)
+
+
+def test_from_qasm_reads_a_repeated_two_statement_line_like_its_statements_split():
+    pair = "rz(0.25) q[1]; cx q[0],q[1];"
+    body = f"h q[0];\n{pair}\ns q[1];\n{pair}\n{pair}  // again\n"
+    split = body.replace("; cx", ";\ncx")
+    head = QASM_HEADER + "qreg q[2];\n"
+    assert from_qasm(head + body).gates == from_qasm(head + split).gates
+    assert len(from_qasm(head + body).gates) == 8
+
+
+def reference_gates(text):
+    # the emitter's one-statement lines read one at a time, with no reuse
+    gates = []
+    for line in text.splitlines()[3:]:
+        m = re.fullmatch(r"(\w+)(?:\((.*)\))? q\[(\d+)\](?:,q\[(\d+)\])?;", line)
+        kind, angle, *qubits = m.groups()
+        gates.append(NativeGate(kind, tuple(int(q) for q in qubits if q is not None),
+                                None if angle is None else float(angle)))
+    return tuple(gates)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.qasm")), ids=lambda p: p.name)
+def test_from_qasm_of_each_golden_gives_its_gates(path):
+    text = path.read_text(encoding="utf-8")
+    gates = from_qasm(text).gates
+    assert gates == reference_gates(text)
+    # and bit for bit: each angle's sign included, and the emitter's bytes back
+    assert [repr(g.angle) for g in gates] == [repr(g.angle) for g in reference_gates(text)]
+    assert to_qasm(from_qasm(text)) == text
+
+
+def test_to_qasm_formats_equal_gates_held_apart_alike():
+    # to_qasm formats each gate object once; a copy of each gate, or one
+    # object shared by every repeat, gives the same text
+    native = to_native(build_trotter_circuit(4, CouplingParams(0.5, -0.3, 0.2), TrotterPlan(0.2, 0.1)))
+    copied = NativeCircuit(4, tuple(NativeGate(g.kind, g.qubits, g.angle) for g in native.gates))
+    assert to_qasm(copied) == to_qasm(native)
+    assert to_qasm(from_qasm(to_qasm(native))) == to_qasm(native)
 
 
 DIGIT_RUNS = st.one_of(
