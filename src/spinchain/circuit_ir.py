@@ -129,24 +129,53 @@ def unitary_of(c: Circuit | NativeCircuit) -> np.ndarray:
 
     The 2^N matrix sees one apply per fused op of _fused_ops, not one per
     gate, and from N = _CLUSTER_FROM on one per cluster of those ops
-    (_clusters). Each apply writes into the other of two 2^N x 2^N buffers
-    (apply_gate's out path), so a pass allocates nothing.
+    (_clusters). Each op is a key that _builder resolves to its matrix, each
+    distinct key once per call. Each apply writes into the other of two
+    2^N x 2^N buffers (apply_gate's out path), so a pass allocates nothing.
     """
     n = c.num_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits, got {n}")
-    ops = _fused_ops(c)
+    descriptors, gate_of = _descriptors(c)
+    ops = _fused_ops(descriptors)
     if n >= _CLUSTER_FROM:
         ops = _clusters(ops)
+    build = _builder(gate_of)
     u = np.eye(2 ** n, dtype=complex)
     spare = np.empty_like(u)
-    for low, m in ops:
-        u, spare = _dense.apply_gate(u, m, low, out=spare), u
+    for low, key in ops:
+        u, spare = _dense.apply_gate(u, build(key), low, out=spare), u
     return u
 
 
+def _builder(gate_of: dict):
+    """A cached function from a descriptor, or a key of _fused_ops or
+    _clusters, to its matrix: a descriptor's is its gate's in gate_of, and a
+    key's is its parts' applied in time order at their offsets, onto the
+    first part if that spans the key (a run) or else onto an identity.
+
+    A Trotter circuit repeats a few distinct keys on every pair, and each is
+    built once per builder. Each is taken in gate order, so every matrix is
+    bit-identical to the product taken gate by gate.
+    """
+
+    @functools.cache
+    def build(part: tuple) -> np.ndarray:
+        width, parts = part[:2]
+        if not isinstance(parts, tuple):  # a descriptor: a kind or params follows its width
+            return _local_op(gate_of[part])[1]
+        mats = [(offset, build(p)) for offset, p in parts]
+        size = 1 << width
+        u = mats.pop(0)[1] if len(mats[0][1]) == size else np.eye(size, dtype=complex)
+        for offset, m in mats:
+            u = np.matmul(m, u.reshape(1 << offset, len(m), -1)).reshape(size, size)
+        return u
+
+    return build
+
+
 def _clusters(ops):
-    """The (lowest qubit, matrix) ops merged greedily into clusters of at most
+    """The (lowest qubit, key) ops merged greedily into clusters of at most
     _CLUSTER_QUBITS adjacent qubits.
 
     Open clusters act on disjoint qubits. An op merges with the open clusters
@@ -154,158 +183,110 @@ def _clusters(ops):
     otherwise those clusters are emitted and the op opens a cluster of its
     own. Merged disjoint clusters commute, so their members go in order of
     their lowest qubit, and a column given in another order meets the same
-    cluster. A one-member cluster is emitted as it came.
-
-    A Trotter circuit repeats a few distinct clusters on every pair, so each
-    is built once per call, on an identity of its size, and keyed by each
-    member's offset and matrix identity. The cache holds the members, so
-    no key's identities can be reused by another matrix during the call.
+    cluster. A one-member cluster is emitted as it came, and any other as a
+    key whose parts are its members' keys.
     """
     open_: dict[int, tuple[int, list]] = {}  # lowest qubit -> (highest qubit, members)
-    built: dict[tuple, tuple] = {}
 
-    def close(lo: int, hi: int, members: list) -> tuple[int, np.ndarray]:
+    def close(lo: int, hi: int, members: list) -> tuple[int, tuple]:
         if len(members) == 1:
             return members[0]
-        key = tuple((low - lo, id(m)) for low, m in members)
-        if key not in built:
-            u = np.eye(2 ** (hi - lo + 1), dtype=complex)
-            spare = np.empty_like(u)
-            for low, m in members:
-                u, spare = _dense.apply_gate(u, m, low - lo, out=spare), u
-            built[key] = u, members
-        return lo, built[key][0]
+        return lo, (hi - lo + 1, tuple((low - lo, key) for low, key in members))
 
-    for low, m in ops:
-        high = low + len(m).bit_length() - 2  # a 2^k x 2^k op acts on k qubits
+    for low, key in ops:
+        high = low + key[0] - 1
         hit = sorted(lo for lo, (hi, _) in open_.items() if lo <= high and hi >= low)
         lo = min([low, *hit])
         hi = max([high, *(open_[h][0] for h in hit)])
         if hi - lo < _CLUSTER_QUBITS:
             members = [op for h in hit for op in open_.pop(h)[1]]
-            members.append((low, m))
+            members.append((low, key))
             open_[lo] = hi, members
         else:
             for h in hit:
                 yield close(h, *open_.pop(h))
-            open_[low] = high, [(low, m)]
+            open_[low] = high, [(low, key)]
     for lo, (hi, members) in open_.items():
         yield close(lo, hi, members)
 
 
+def _local_op(g: PairGate | NativeGate) -> tuple[int, np.ndarray]:
+    """(lowest qubit, 2x2 or 4x4 matrix) of one gate; a 4x4 acts on (q, q + 1)."""
+    if isinstance(g, PairGate):
+        return g.pair, g.unitary()
+    return min(g.qubits), native_gate_matrix(g)
+
+
 def local_ops(c: Circuit | NativeCircuit):
-    """(lowest qubit, 2x2 or 4x4 matrix) per gate; a 4x4 acts on (q, q + 1)."""
-    for g in c.gates:
-        if isinstance(g, PairGate):
-            yield g.pair, g.unitary()
-        else:
-            yield min(g.qubits), native_gate_matrix(g)
-
-
-_EYE4 = np.eye(4, dtype=complex)
-
-
-def _on_local(m: np.ndarray, local: int, block: np.ndarray) -> np.ndarray:
-    """Left-multiply the 2x2 m acting on qubit local (0 or 1) into a 4x4 block."""
-    if local == 0:
-        return (m @ block.reshape(2, 8)).reshape(4, 4)
-    return (m @ block.reshape(2, 2, 4)).reshape(4, 4)
+    """_local_op per gate."""
+    return map(_local_op, c.gates)
 
 
 def _describe(g: PairGate | NativeGate) -> tuple:
-    """(lowest qubit, is two-qubit, descriptor) of one gate.
+    """(lowest qubit, descriptor) of one gate.
 
-    The descriptor names the gate's matrix apart from its position: (kind,
-    angle) for a single-qubit gate, ("cx", control is the lower qubit) for a
-    cx, and (params, conjugation) for a pair gate. Angles compare by value
-    and -0.0 == 0.0, so a descriptor also carries each angle's sign: rz(-0.0)
-    and rz(0.0) differ in the sign of a zero entry.
+    The descriptor names the gate's matrix apart from its position, and leads
+    with the number of qubits the gate acts on: then (kind, angle) for a
+    single-qubit gate, ("cx", control is the lower qubit) for a cx, and
+    (params, conjugation) for a pair gate. Angles compare by value and
+    -0.0 == 0.0, so a descriptor also carries each angle's sign: rz(-0.0) and
+    rz(0.0) differ in the sign of a zero entry.
     """
     if isinstance(g, PairGate):
         signs = tuple(math.copysign(1.0, a) for a in g.params.as_tuple())
-        return g.pair, True, (g.params, g.conjugation, signs)
+        return g.pair, (2, g.params, g.conjugation, signs)
     if g.kind == "cx":
-        return min(g.qubits), True, ("cx", g.qubits[0] < g.qubits[1])
+        return min(g.qubits), (2, "cx", g.qubits[0] < g.qubits[1])
     if g.angle is None:
-        return g.qubits[0], False, (g.kind, None)
-    return g.qubits[0], False, (g.kind, g.angle, math.copysign(1.0, g.angle))
+        return g.qubits[0], (1, g.kind, None)
+    return g.qubits[0], (1, g.kind, g.angle, math.copysign(1.0, g.angle))
 
 
-def _descriptors(c: Circuit | NativeCircuit):
-    """_describe per gate. A circuit shares one gate object among its
-    repeats, so each distinct object is described once per call."""
-    described = {key: _describe(g) for key, g in {id(g): g for g in c.gates}.items()}
-    return map(described.__getitem__, map(id, c.gates))
+def _descriptors(c: Circuit | NativeCircuit) -> tuple:
+    """_describe per gate, and a gate of each descriptor. A circuit shares
+    one gate object among its repeats, so each distinct object is described
+    once per call."""
+    distinct = {id(g): g for g in c.gates}
+    described = {key: _describe(g) for key, g in distinct.items()}
+    gate_of = {d: g for (_, d), g in zip(described.values(), distinct.values())}
+    return map(described.__getitem__, map(id, c.gates)), gate_of
 
 
-def _matrix(d: tuple) -> np.ndarray:
-    """The 2x2 or 4x4 matrix that a descriptor of _descriptors names."""
-    head, arg = d[:2]
-    if not isinstance(head, str):
-        return PairGate(0, head, arg).unitary()
-    if head == "cx":
-        return native_gate_matrix(NativeGate("cx", (0, 1) if arg else (1, 0)))
-    return native_gate_matrix(NativeGate(head, (0,), arg))
+def _fused_ops(descriptors):
+    """A circuit's _descriptors as (lowest qubit, key) ops on one qubit or one
+    adjacent pair; _builder makes their matrices.
 
+    Single-qubit gates collect per qubit into a run; a two-qubit gate on pair
+    p extends the open block on p, or closes the blocks on p - 1 and p + 1
+    and opens one that takes in the pending runs of both its qubits. Later
+    single-qubit gates on a blocked qubit join the block. Pending blocks and
+    runs act on disjoint qubits, so they commute and the order of their
+    emission is free.
 
-def _run_matrix(run: tuple) -> np.ndarray:
-    """Product of a run of single-qubit descriptors, the first applied first."""
-    u = _matrix(run[0])
-    for d in run[1:]:
-        u = _matrix(d) @ u
-    return u
-
-
-def _block_matrix(key: tuple) -> np.ndarray:
-    """The 4x4 of a block key of _fused_ops: the pending runs on both qubits,
-    then (local qubit, descriptor) per gate, local None for a two-qubit gate."""
-    block = _EYE4
-    for local in (0, 1):
-        if key[local]:
-            block = _on_local(_run_matrix(key[local]), local, block)
-    for local, d in key[2:]:
-        m = _matrix(d)
-        block = m @ block if local is None else _on_local(m, local, block)
-    return block
-
-
-def _fused_ops(c: Circuit | NativeCircuit):
-    """The circuit as (lowest qubit, matrix) ops on one qubit or one adjacent pair.
-
-    Single-qubit gates collect per qubit; a two-qubit gate on pair p extends
-    the open 4x4 block on p, or closes the blocks on p - 1 and p + 1 and opens
-    one that absorbs the pending 2x2s of both its qubits. Later single-qubit
-    gates on a blocked qubit join the block. Pending blocks and 2x2s act on
-    disjoint qubits, so they commute and the order of their emission is free.
-
-    Blocks and runs collect descriptors, not matrices. A Trotter circuit
-    repeats a few distinct blocks on every pair, so each distinct block or run
-    is multiplied once per call and reused from caches local to the call.
-    Each is multiplied in gate order, so every fused matrix is bit-identical
-    to the product taken gate by gate.
+    A key is (the number of qubits it spans, its parts), the parts in time
+    order as (offset from its lowest qubit, part); a part is a descriptor,
+    which also leads with its number of qubits, or a nested key: a run in a
+    block, or a block in a cluster of _clusters.
     """
     singles: dict[int, list] = {}
     blocks: dict[int, list] = {}
-    block_matrix, run_matrix = functools.cache(_block_matrix), functools.cache(_run_matrix)
-    for q, two, d in _descriptors(c):
-        if not two:
-            if q in blocks:
-                blocks[q].append((0, d))
-            elif q - 1 in blocks:
-                blocks[q - 1].append((1, d))
-            else:
-                singles.setdefault(q, []).append(d)
-        elif q in blocks:
-            blocks[q].append((None, d))
-        else:
+    for q, d in descriptors:
+        if q in blocks:
+            blocks[q].append((0, d))
+        elif d[0] == 2:
             for p in (q - 1, q + 1):
                 if p in blocks:
-                    yield p, block_matrix(tuple(blocks.pop(p)))
-            blocks[q] = [tuple(singles.pop(q, ())), tuple(singles.pop(q + 1, ())), (None, d)]
-    for p, ops in blocks.items():
-        yield p, block_matrix(tuple(ops))
+                    yield p, (2, tuple(blocks.pop(p)))
+            blocks[q] = [(local, (1, tuple(singles.pop(q + local)))) for local in (0, 1) if q + local in singles]
+            blocks[q].append((0, d))
+        elif q - 1 in blocks:
+            blocks[q - 1].append((1, d))
+        else:
+            singles.setdefault(q, []).append((0, d))
+    for p, parts in blocks.items():
+        yield p, (2, tuple(parts))
     for q, run in singles.items():
-        yield q, run_matrix(tuple(run))
+        yield q, (1, tuple(run))
 
 
 def _pair_gate_native(g: PairGate) -> GateSequence:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from spinchain import _dense
 from spinchain._dense import phase_distance
 from spinchain.circuit_ir import (
     Circuit,
@@ -16,9 +17,10 @@ from spinchain.circuit_ir import (
     QASM_HEADER,
     PairGate,
     QasmParseError,
+    _builder,
     _clusters,
+    _descriptors,
     _fused_ops,
-    _on_local,
     build_trotter_circuit,
     from_qasm,
     local_ops,
@@ -250,19 +252,24 @@ def stamped_circuits(draw):
     return NativeCircuit(n, tuple(g for template, pair in stamps for g in stamp(template, pair)))
 
 
+def on(m, offset, u):
+    # m applied to u at qubit offset, in the oracle's product idiom
+    return np.matmul(m, u.reshape(1 << offset, len(m), -1)).reshape(u.shape)
+
+
 def fused_ops_reference(c):
     # the fusion multiplied gate by gate as the circuit runs, no reuse
     singles, blocks = {}, {}
     for q, m in local_ops(c):
         if m.shape[0] == 2:
             if q in blocks:
-                blocks[q] = _on_local(m, 0, blocks[q])
+                blocks[q] = on(m, 0, blocks[q])
             elif q - 1 in blocks:
-                blocks[q - 1] = _on_local(m, 1, blocks[q - 1])
+                blocks[q - 1] = on(m, 1, blocks[q - 1])
             else:
-                singles[q] = m @ singles[q] if q in singles else m
+                singles[q] = on(m, 0, singles[q]) if q in singles else m
         elif q in blocks:
-            blocks[q] = m @ blocks[q]
+            blocks[q] = on(m, 0, blocks[q])
         else:
             for p in (q - 1, q + 1):
                 if p in blocks:
@@ -270,21 +277,74 @@ def fused_ops_reference(c):
             block = np.eye(4, dtype=complex)
             for local in (0, 1):
                 if q + local in singles:
-                    block = _on_local(singles.pop(q + local), local, block)
-            blocks[q] = m @ block
+                    block = on(singles.pop(q + local), local, block)
+            blocks[q] = on(m, 0, block)
     yield from blocks.items()
     yield from singles.items()
+
+
+def clusters_reference(ops):
+    # the greedy rule of _clusters, each cluster multiplied member by member
+    # on an identity, merged disjoint clusters in order of their lowest qubit
+    open_ = {}  # lowest qubit -> (highest qubit, members)
+
+    def close(lo, hi, members):
+        if len(members) == 1:
+            return members[0]
+        u = np.eye(2 ** (hi - lo + 1), dtype=complex)
+        for low, m in members:
+            u = on(m, low - lo, u)
+        return lo, u
+
+    for low, m in ops:
+        high = low + len(m).bit_length() - 2
+        hit = sorted(lo for lo, (hi, _) in open_.items() if lo <= high and hi >= low)
+        lo, hi = min([low, *hit]), max([high, *(open_[h][0] for h in hit)])
+        if hi - lo < 4:
+            open_[lo] = hi, [op for h in hit for op in open_.pop(h)[1]] + [(low, m)]
+        else:
+            for h in hit:
+                yield close(h, *open_.pop(h))
+            open_[low] = high, [(low, m)]
+    for lo, (hi, members) in open_.items():
+        yield close(lo, hi, members)
 
 
 def fused_bytes(ops):
     return [(low, m.tobytes()) for low, m in ops]
 
 
+def built_ops(c):
+    # the (lowest qubit, matrix) fused ops of c, as unitary_of's builder makes them
+    descriptors, gate_of = _descriptors(c)
+    build = _builder(gate_of)
+    return [(low, build(key)) for low, key in _fused_ops(descriptors)]
+
+
+def op_widths(c):
+    # (lowest qubit, qubits spanned) per op of the cluster stage, read from its key
+    return [(low, key[0]) for low, key in _clusters(_fused_ops(_descriptors(c)[0]))]
+
+
+def applied_ops(c, monkeypatch):
+    # every (lowest qubit, matrix) that unitary_of applies to its 2^N matrix
+    applied, apply_gate = [], _dense.apply_gate
+
+    def record(u, m, low, out=None):
+        applied.append((low, m.tobytes()))
+        return apply_gate(u, m, low, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_dense, "apply_gate", record)
+        unitary_of(c)
+    return applied
+
+
 @given(stamped_circuits())
 @example(NativeCircuit(2, (NativeGate("rz", (0,), 0.0), NativeGate("rz", (1,), -0.0))))
 def test_unitary_of_fuses_repeated_blocks_like_the_kron_oracle(c):
     # reusing a block changes no bit of it, not even the sign of a zero
-    assert fused_bytes(_fused_ops(c)) == fused_bytes(fused_ops_reference(c))
+    assert fused_bytes(built_ops(c)) == fused_bytes(fused_ops_reference(c))
     assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
 
 
@@ -307,9 +367,9 @@ CLUSTER_COUPLINGS = (
 )
 
 
-def test_unitary_of_clusters_trotter_circuits_like_the_kron_oracle():
-    # from N = 7 the fused ops merge into clusters of up to 4 qubits; half the
-    # circuits list each layer's pair gates in a shuffled order, as a
+def cluster_trotter_circuits():
+    # from N = 7 the fused ops merge into clusters of up to 4 qubits; odd
+    # trials list each layer's pair gates in a shuffled order, as a
     # column-reordered copy of a Trotter circuit does
     rng = np.random.default_rng(SEED + 7)
     for trial in range(6):
@@ -320,27 +380,54 @@ def test_unitary_of_clusters_trotter_circuits_like_the_kron_oracle():
         if trial % 2:
             starts = np.cumsum([0] + [n // 2, (n - 1) // 2] * steps)  # the layers' bounds
             gates = tuple(gates[a + i] for a, b in zip(starts, starts[1:]) for i in rng.permutation(b - a))
-        c = to_native(Circuit(n, gates))
-        assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
-        assert max(len(m) for _, m in _clusters(_fused_ops(c))) in (8, 16)
+        yield to_native(Circuit(n, gates))
 
 
-def test_clusters_keep_apart_blocks_that_differ_only_in_direction_or_qubit():
-    # the fused blocks on pairs 0, 1 and on pairs 3, 4 close into two 8x8
+def cluster_variant_circuits():
+    # the fused blocks on pairs 0, 1 and on pairs 3, 4 close into two 3-qubit
     # clusters at the same member offsets. The second one's block on pair 4
     # has the first one's gates but for the cx direction or the qubit of the
-    # rotation after the cx, so a cluster key that cannot see its members'
-    # matrices hands it the first cluster's matrix
+    # rotation after the cx
     block = [("cx", 0, None), ("rx", 1, 0.5), ("rz", 0, 0.3)]
     reversed_cx = [("cx", 1, None), ("rx", 1, 0.5), ("rz", 0, 0.3)]
     other_qubit = [("cx", 0, None), ("rx", 0, 0.5), ("rz", 0, 0.3)]
     for variant in (reversed_cx, other_qubit):
-        c = NativeCircuit(7, tuple(
+        yield NativeCircuit(7, tuple(
             stamp(block, 0) + stamp(block, 1) + stamp(block, 3) + stamp(variant, 4)
             + stamp(block, 2) + stamp(block, 5)
         ))
-        assert [(low, len(m)) for low, m in _clusters(_fused_ops(c))][:2] == [(0, 8), (3, 8)]
+
+
+def test_unitary_of_clusters_trotter_circuits_like_the_kron_oracle():
+    for c in cluster_trotter_circuits():
         assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+        assert max(width for _, width in op_widths(c)) in (3, 4)
+
+
+def test_clusters_keep_apart_blocks_that_differ_only_in_direction_or_qubit():
+    # a cluster key that cannot see its members' gates hands the second
+    # cluster the first one's matrix
+    for c in cluster_variant_circuits():
+        assert op_widths(c)[:2] == [(0, 3), (3, 3)]
+        assert np.max(np.abs(unitary_of(c) - native_unitary_oracle(c))) < TOL
+
+
+def test_unitary_of_applies_each_op_as_replayed_gate_by_gate(monkeypatch):
+    # every run, block and cluster that unitary_of applies has the bits of
+    # its gates multiplied in time order with the same association: runs,
+    # then blocks, then clusters. A builder that reassociates stays within
+    # TOL of the kron oracle but moves bits here. The last circuit puts three
+    # rotations on each qubit ahead of a Trotter circuit, so that its first
+    # blocks take in runs of more than one gate
+    rng = np.random.default_rng(SEED + 8)
+    runs = [
+        NativeGate(kind, (q,), float(a)) for q in range(7) for kind, a in zip(("rx", "rz", "rx"), rng.uniform(-3, 3, 3))
+    ]
+    runs_first = NativeCircuit(7, (*runs, *next(cluster_trotter_circuits()).gates))
+    for c in [*cluster_trotter_circuits(), *cluster_variant_circuits(), runs_first]:
+        replayed = list(clusters_reference(fused_ops_reference(c)))
+        assert applied_ops(c, monkeypatch) == fused_bytes(replayed)
+        assert max(len(m) for _, m in replayed) in (8, 16)
 
 
 def test_to_native_preserves_unitary():
